@@ -281,6 +281,25 @@ def assignment_bits(index: int, num_vars: int) -> tuple[int, ...]:
     return tuple((index >> i) & 1 for i in range(num_vars))
 
 
+def enumerate_min(num_bits: int, values_of) -> tuple[int, tuple[int, ...]]:
+    """Minimum of values_of over all 2^num_bits 0/1 vectors, in chunks.
+
+    values_of maps a (k, num_bits) int64 block of consecutive assignments
+    (see assignment_bits) to their k values. The witness is the lowest-value
+    assignment attaining the minimum.
+    """
+    best_value = best_index = None
+    total = 1 << num_bits
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        values = values_of((idx[:, None] >> np.arange(num_bits)) & 1)
+        chunk_index = int(np.argmin(values))
+        if best_value is None or values[chunk_index] < best_value:
+            best_value = int(values[chunk_index])
+            best_index = start + chunk_index
+    return best_value, assignment_bits(best_index, num_bits)
+
+
 def brute_force_maxsat(formula: CnfFormula) -> tuple[int, tuple[int, ...]]:
     """Exact MAX-3SAT by enumeration; witness is the lowest-value optimum.
 
@@ -290,21 +309,5 @@ def brute_force_maxsat(formula: CnfFormula) -> tuple[int, tuple[int, ...]]:
     n = formula.num_vars
     if n > MAX_BRUTE_FORCE_VARS:
         raise ValueError(f"brute force limited to {MAX_BRUTE_FORCE_VARS} variables, got {n}")
-    variables, negated = clause_arrays(formula)
-    best_count = -1
-    best_index = 0
-    total = 1 << n
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        rows = ((idx[:, None] >> np.arange(n)) & 1).astype(bool)
-        if formula.num_clauses:
-            truth = rows[:, variables] ^ negated[None, :, :]
-            counts = truth.any(axis=2).sum(axis=1)
-        else:
-            counts = np.zeros(stop - start, dtype=np.int64)
-        chunk_best = int(counts.max())
-        if chunk_best > best_count:
-            best_count = chunk_best
-            best_index = start + int(np.argmax(counts))
-    return best_count, assignment_bits(best_index, n)
+    best, witness = enumerate_min(n, lambda rows: -count_satisfied_many(formula, rows))
+    return -best, witness

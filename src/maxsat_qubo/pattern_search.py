@@ -9,6 +9,8 @@ from typing import Sequence
 import numpy as np
 
 from .formula import CnfFormula, count_satisfied
+from .rng import mix
+from .solvers import solve
 from .transform import (APPROX_6_OF_7, EXACT_ALL_7, TRIPLES, ClausePattern,
                         TransformSpec, assemble, decode, pattern_minima,
                         satisfying_triples, unsat_triple)
@@ -169,9 +171,6 @@ def select_best_combination(formula: CnfFormula, specs: Sequence[TransformSpec],
     satisfied-clause count over the configured samples. Ties go to the lowest
     spec index.
     """
-    from .rng import mix
-    from .solvers import solve
-
     if not specs:
         raise ValueError("no specs to choose from")
     scores: list[int] = []

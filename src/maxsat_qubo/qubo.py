@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .formula import enumerate_min
 from .rng import generator
 
 MAX_BRUTE_FORCE_DIM = 25
-MAX_AUX_ENUMERATION = 20
-_CHUNK = 1 << 16
+# int64 energies and flip deltas stay exact while sum |c| < 2^62
+EXACT_INT64_BOUND = 1 << 62
 
 Entries = dict[tuple[int, int], int]
 
@@ -42,23 +44,73 @@ class QuboMatrix:
         """Build a matrix from summed coefficients, dropping exact cancellations."""
         return cls(dim, {k: v for k, v in accumulated.items() if v != 0})
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for (i, j), value in self.entries.items():
-            dense[i, j] = value
-        return dense
+    def diag_coupling(self) -> "CompiledQubo":
+        """The compiled form that every vectorized energy and solver path uses.
 
-    def diag_coupling(self) -> tuple[np.ndarray, np.ndarray]:
-        """(diagonal vector, symmetric off-diagonal coupling matrix)."""
+        Built fresh on each call: a copy cached on the matrix would stay
+        alive with every matrix a caller keeps. Raises ValueError when the
+        coefficient magnitudes sum to 2^62 or more, past which int64
+        arithmetic on energies and flip deltas could wrap.
+        """
+        total = sum(map(abs, self.entries.values()))
+        if total >= EXACT_INT64_BOUND:
+            raise ValueError(f"coefficient magnitudes sum to {total}, at or above 2^62; "
+                             "int64 energies would not be exact")
+        count = len(self.entries)
+        pairs = np.fromiter(chain.from_iterable(self.entries), dtype=np.int64,
+                            count=2 * count).reshape(count, 2)
+        values = np.fromiter(self.entries.values(), dtype=np.int64, count=count)
+        i, j = pairs[:, 0], pairs[:, 1]
+        on_diag = i == j
         diag = np.zeros(self.dim, dtype=np.int64)
-        coupling = np.zeros((self.dim, self.dim), dtype=np.int32)
-        for (i, j), value in self.entries.items():
-            if i == j:
-                diag[i] = value
-            else:
-                coupling[i, j] = value
-                coupling[j, i] = value
-        return diag, coupling
+        diag[i[on_diag]] = values[on_diag]
+        off = ~on_diag
+        row = np.concatenate([i[off], j[off]])
+        col = np.concatenate([j[off], i[off]])
+        weight = np.concatenate([values[off], values[off]])
+        # one composite key sorts by (row, col) several times faster than lexsort
+        order = np.argsort(row * self.dim + col)
+        row, col, weight = row[order], col[order], weight[order]
+        degree = np.bincount(row, minlength=self.dim)
+        slot = np.arange(row.size) - (np.cumsum(degree) - degree)[row]
+        # padding points at the row's own bit with weight 0: a bit's field
+        # never depends on itself, so padded slots are inert in every update
+        idx = np.repeat(np.arange(self.dim)[:, None], int(degree.max()), axis=1)
+        weights = np.zeros(idx.shape, dtype=np.int64)
+        idx[row, slot] = col
+        weights[row, slot] = weight
+        return CompiledQubo(diag, idx, weights, degree)
+
+
+class CompiledQubo(NamedTuple):
+    """Diagonal plus padded symmetric neighbour lists of a QuboMatrix.
+
+    Row i of idx/weight holds bit i's off-diagonal neighbours and their
+    coefficients in its first degree[i] slots; the rest point at i itself
+    with weight 0. All arrays are int64.
+    """
+
+    diag: np.ndarray
+    idx: np.ndarray
+    weight: np.ndarray
+    degree: np.ndarray
+
+    def fields(self, rows: np.ndarray) -> np.ndarray:
+        """Local field diag_i + sum_j c_ij x_j of every bit in each row of a (k, dim) matrix.
+
+        Flipping bit i changes the energy by (1 - 2 x_i) times its field.
+        """
+        fields = np.repeat(self.diag[None, :], len(rows), axis=0)
+        for s in range(self.idx.shape[1]):
+            fields += rows[:, self.idx[:, s]] * self.weight[:, s]
+        return fields
+
+    def energies(self, rows: np.ndarray, fields: np.ndarray | None = None) -> np.ndarray:
+        """Energy of each row; pass the rows' fields when they are already at hand."""
+        if fields is None:
+            fields = self.fields(rows)
+        # sum_i x_i (diag_i + field_i) counts the diagonal and every coupling twice
+        return (rows * (self.diag + fields)).sum(axis=1) // 2
 
 
 @dataclass(frozen=True)
@@ -104,87 +156,50 @@ def energy_many(q: QuboMatrix, bits_rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(bits_rows, dtype=np.int64)
     if rows.ndim != 2 or rows.shape[1] != q.dim:
         raise ValueError(f"expected shape (k, {q.dim}), got {rows.shape}")
-    diag, coupling = q.diag_coupling()
-    return rows @ diag + ((rows @ coupling) * rows).sum(axis=1) // 2
+    return q.diag_coupling().energies(rows)
 
 
-def _split_by_layout(q: QuboMatrix, layout: VariableLayout):
-    """Problem-block entries, aux diagonal, problem-aux coupling; rejects aux-aux pairs."""
-    n = layout.num_problem_vars
-    num_aux = len(layout.aux_owners)
+def _compile_for_layout(q: QuboMatrix, layout: VariableLayout) -> CompiledQubo:
+    """Compiled form of a matrix whose aux bits couple only to problem bits."""
     if layout.dim != q.dim:
         raise ValueError(f"layout dim {layout.dim} != matrix dim {q.dim}")
-    problem: Entries = {}
-    aux_diag = np.zeros(num_aux, dtype=np.int64)
-    coupling = np.zeros((n, num_aux), dtype=np.int64)
-    has_aux_pair = False
-    for (i, j), value in q.entries.items():
-        if j < n:
-            problem[(i, j)] = value
-        elif i < n:
-            coupling[i, j - n] += value
-        elif i == j:
-            aux_diag[i - n] += value
-        else:
-            has_aux_pair = True
-    return problem, aux_diag, coupling, has_aux_pair
-
-
-def energy_min_aux(q: QuboMatrix, layout: VariableLayout, assignment: Sequence[int]) -> int:
-    """Energy of a problem assignment with auxiliary bits minimized out.
-
-    Without aux-aux couplings each aux bit contributes min(0, c) where c is
-    its diagonal plus its couplings into the fixed assignment. With aux-aux
-    couplings, falls back to enumerating all aux completions (up to 20 bits).
-    """
+    compiled = q.diag_coupling()
     n = layout.num_problem_vars
-    if len(assignment) != n:
-        raise ValueError(f"assignment length {len(assignment)} != num_problem_vars {n}")
-    problem, aux_diag, coupling, has_aux_pair = _split_by_layout(q, layout)
-    x = np.asarray([int(b) for b in assignment], dtype=np.int64)
-    num_aux = len(layout.aux_owners)
+    if (compiled.idx[n:][compiled.weight[n:] != 0] >= n).any():
+        raise ValueError("aux-aux couplings present; aux bits cannot be minimized out "
+                         "one at a time")
+    return compiled
 
-    if has_aux_pair:
-        if num_aux > MAX_AUX_ENUMERATION:
-            raise ValueError(
-                f"aux-aux couplings present and {num_aux} aux bits exceed "
-                f"the enumeration limit of {MAX_AUX_ENUMERATION}"
-            )
-        best = None
-        for aux_index in range(1 << num_aux):
-            full = list(assignment) + [(aux_index >> a) & 1 for a in range(num_aux)]
-            value = energy(q, full)
-            if best is None or value < best:
-                best = value
-        return int(best)
 
-    base = 0
-    for (i, j), value in problem.items():
-        base += value * x[i] if i == j else value * x[i] * x[j]
-    contributions = aux_diag + x @ coupling
-    return int(base + np.minimum(contributions, 0).sum())
+def _min_aux_energies(compiled: CompiledQubo, rows: np.ndarray) -> np.ndarray:
+    """Problem energy of each (k, n) row plus min(0, field) of every aux bit."""
+    n = rows.shape[1]
+    full = np.zeros((len(rows), len(compiled.diag)), dtype=np.int64)
+    full[:, :n] = rows
+    fields = compiled.fields(full)
+    return compiled.energies(full, fields) + np.minimum(fields[:, n:], 0).sum(axis=1)
 
 
 def energy_min_aux_many(q: QuboMatrix, layout: VariableLayout, bits_rows: np.ndarray) -> np.ndarray:
-    """Vectorized energy_min_aux over rows of a (k, n) 0/1 matrix (no aux-aux couplings)."""
+    """Energies of rows of a (k, n) 0/1 matrix of problem assignments, aux bits minimized out.
+
+    Each aux bit contributes min(0, field), its diagonal plus its couplings
+    into the fixed assignment. Matrices with aux-aux couplings are rejected.
+    """
     n = layout.num_problem_vars
     rows = np.asarray(bits_rows, dtype=np.int64)
     if rows.ndim != 2 or rows.shape[1] != n:
         raise ValueError(f"expected shape (k, {n}), got {rows.shape}")
-    problem, aux_diag, coupling, has_aux_pair = _split_by_layout(q, layout)
-    if has_aux_pair:
-        raise ValueError("vectorized path requires a matrix without aux-aux couplings")
-    diag = np.zeros(n, dtype=np.int64)
-    sym = np.zeros((n, n), dtype=np.int64)
-    for (i, j), value in problem.items():
-        if i == j:
-            diag[i] = value
-        else:
-            sym[i, j] = value
-            sym[j, i] = value
-    base = rows @ diag + ((rows @ sym) * rows).sum(axis=1) // 2
-    contributions = aux_diag[None, :] + rows @ coupling
-    return base + np.minimum(contributions, 0).sum(axis=1)
+    return _min_aux_energies(_compile_for_layout(q, layout), rows)
+
+
+def energy_min_aux(q: QuboMatrix, layout: VariableLayout, assignment: Sequence[int]) -> int:
+    """Energy of one problem assignment with auxiliary bits minimized out."""
+    n = layout.num_problem_vars
+    if len(assignment) != n:
+        raise ValueError(f"assignment length {len(assignment)} != num_problem_vars {n}")
+    row = np.asarray([[int(b) for b in assignment]], dtype=np.int64)
+    return int(energy_min_aux_many(q, layout, row)[0])
 
 
 def minimize_with_aux(q: QuboMatrix, layout: VariableLayout) -> tuple[int, tuple[int, ...]]:
@@ -198,40 +213,15 @@ def minimize_with_aux(q: QuboMatrix, layout: VariableLayout) -> tuple[int, tuple
     n = layout.num_problem_vars
     if n > MAX_BRUTE_FORCE_DIM:
         raise ValueError(f"enumeration limited to {MAX_BRUTE_FORCE_DIM} problem variables, got {n}")
-    best_value = None
-    best_index = 0
-    total = 1 << n
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        rows = ((idx[:, None] >> np.arange(n)) & 1).astype(np.int64)
-        values = energy_min_aux_many(q, layout, rows)
-        chunk_min = int(values.min())
-        if best_value is None or chunk_min < best_value:
-            best_value = chunk_min
-            best_index = start + int(np.argmin(values))
-    witness = tuple((best_index >> i) & 1 for i in range(n))
-    return best_value, witness
+    compiled = _compile_for_layout(q, layout)
+    return enumerate_min(n, lambda rows: _min_aux_energies(compiled, rows))
 
 
 def brute_force_min(q: QuboMatrix) -> tuple[int, tuple[int, ...]]:
     """Exact global minimum over all 2^dim bit vectors; lowest-value witness."""
     if q.dim > MAX_BRUTE_FORCE_DIM:
         raise ValueError(f"brute force limited to dim {MAX_BRUTE_FORCE_DIM}, got {q.dim}")
-    best_value = None
-    best_index = 0
-    total = 1 << q.dim
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        rows = ((idx[:, None] >> np.arange(q.dim)) & 1).astype(np.int64)
-        values = energy_many(q, rows)
-        chunk_min = int(values.min())
-        if best_value is None or chunk_min < best_value:
-            best_value = chunk_min
-            best_index = start + int(np.argmin(values))
-    witness = tuple((best_index >> i) & 1 for i in range(q.dim))
-    return best_value, witness
+    return enumerate_min(q.dim, q.diag_coupling().energies)
 
 
 def nnz_offdiag(q: QuboMatrix) -> int:
@@ -315,44 +305,64 @@ def write_qubo(q: QuboMatrix, layout: VariableLayout | None = None,
     return "\n".join(lines) + "\n"
 
 
-def parse_qubo(text: str) -> tuple[QuboMatrix, VariableLayout | None]:
-    """Parse QUBO text; returns the layout when aux comments are present."""
+def _line_ints(fields: list[str], lineno: int) -> tuple[int, ...]:
+    try:
+        return tuple(int(f) for f in fields)
+    except ValueError:
+        raise ValueError(f"line {lineno}: non-integer field in {' '.join(fields)!r}") from None
+
+
+def read_triplets(text, kind: str, header_ints: int):
+    """Read the triplet text format shared by QUBO and pattern files.
+
+    Expects one 'p <kind> <header_ints integers>' header whose last integer
+    declares the entry count, then 'i j coeff' lines; lines starting with c
+    are comments. Returns (header integers, entries, comments), where each
+    comment is (line number, fields).
+    """
     if hasattr(text, "read"):
         text = text.read()
-    dim = declared = None
+    header = None
     entries: Entries = {}
-    aux: dict[int, int] = {}
+    comments: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
+        fields = line.split()
         if line.startswith("c"):
-            fields = line.split()
-            if len(fields) == 5 and fields[1] == "aux" and fields[3] == "clause":
-                try:
-                    aux[int(fields[2])] = int(fields[4])
-                except ValueError:
-                    raise ValueError(f"line {lineno}: malformed aux comment") from None
+            comments.append((lineno, fields))
             continue
         if line.startswith("p"):
-            fields = line.split()
-            if len(fields) != 4 or fields[1] != "qubo":
+            if len(fields) != 2 + header_ints or fields[1] != kind:
                 raise ValueError(f"line {lineno}: malformed header {line!r}")
-            dim, declared = int(fields[2]), int(fields[3])
+            if header is not None:
+                raise ValueError(f"line {lineno}: second 'p {kind}' header")
+            header = _line_ints(fields[2:], lineno)
             continue
-        if dim is None:
-            raise ValueError(f"line {lineno}: entry before 'p qubo' header")
-        fields = line.split()
+        if header is None:
+            raise ValueError(f"line {lineno}: entry before 'p {kind}' header")
         if len(fields) != 3:
             raise ValueError(f"line {lineno}: expected 'i j coeff', got {line!r}")
-        i, j, value = (int(f) for f in fields)
+        i, j, value = _line_ints(fields, lineno)
         if (i, j) in entries:
             raise ValueError(f"line {lineno}: duplicate entry ({i}, {j})")
         entries[(i, j)] = value
-    if dim is None:
-        raise ValueError("missing 'p qubo' header")
-    if len(entries) != declared:
-        raise ValueError(f"header declares {declared} entries but {len(entries)} were read")
+    if header is None:
+        raise ValueError(f"missing 'p {kind}' header")
+    if len(entries) != header[-1]:
+        raise ValueError(f"header declares {header[-1]} entries but {len(entries)} were read")
+    return header, entries, comments
+
+
+def parse_qubo(text: str) -> tuple[QuboMatrix, VariableLayout | None]:
+    """Parse QUBO text; returns the layout when aux comments are present."""
+    (dim, _), entries, comments = read_triplets(text, "qubo", 2)
+    aux: dict[int, int] = {}
+    for lineno, fields in comments:
+        if len(fields) == 5 and fields[1] == "aux" and fields[3] == "clause":
+            index, owner = _line_ints(fields[2::2], lineno)
+            aux[index] = owner
     matrix = QuboMatrix(dim, entries)
     if not aux:
         return matrix, None

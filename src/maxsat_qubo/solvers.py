@@ -72,18 +72,17 @@ def energy_gains(q: QuboMatrix, bits: Sequence[int]) -> np.ndarray:
     """Exact energy change from flipping each single bit of the vector."""
     if len(bits) != q.dim:
         raise ValueError(f"bit vector length {len(bits)} != dim {q.dim}")
-    x = np.asarray([int(b) for b in bits], dtype=np.int64)
-    diag, coupling = q.diag_coupling()
-    return (1 - 2 * x) * (diag + coupling @ x)
+    x = np.asarray([[int(b) for b in bits]], dtype=np.int64)
+    return (1 - 2 * x[0]) * q.diag_coupling().fields(x)[0]
 
 
 def _initial_states(q: QuboMatrix, seeds: Sequence[int]):
-    diag, coupling = q.diag_coupling()
+    """Seeded random rows with their fields G and energies E, and the compiled matrix."""
+    compiled = q.diag_coupling()
     gens = [generator(s) for s in seeds]
     X = np.stack([g.integers(0, 2, size=q.dim, dtype=np.int64) for g in gens])
-    G = diag[None, :] + X @ coupling
-    E = X @ diag + ((X @ coupling) * X).sum(axis=1) // 2
-    return gens, X, G, E, coupling
+    G = compiled.fields(X)
+    return gens, X, G, compiled.energies(X, G), compiled
 
 
 def _batch_tabu(q: QuboMatrix, seeds: Sequence[int], iteration_limit: int | None,
@@ -97,7 +96,7 @@ def _batch_tabu(q: QuboMatrix, seeds: Sequence[int], iteration_limit: int | None
     """
     start = time.perf_counter()
     k = len(seeds)
-    _, X, G, E, coupling = _initial_states(q, seeds)
+    _, X, G, E, compiled = _initial_states(q, seeds)
     best_energy = E.copy()
     best_bits = X.copy()
     tabu_until = np.zeros((k, q.dim), dtype=np.int64)
@@ -115,7 +114,7 @@ def _batch_tabu(q: QuboMatrix, seeds: Sequence[int], iteration_limit: int | None
         chosen_delta = delta[rows, flip]
         sign = 1 - 2 * X[rows, flip]
         X[rows, flip] = 1 - X[rows, flip]
-        G += sign[:, None] * coupling[flip, :]
+        G[rows[:, None], compiled.idx[flip]] += sign[:, None] * compiled.weight[flip]
         E += chosen_delta
         tabu_until[rows, flip] = iteration + 1 + tenure
         improved = E < best_energy
@@ -127,28 +126,17 @@ def _batch_tabu(q: QuboMatrix, seeds: Sequence[int], iteration_limit: int | None
     return best_energy, best_bits, elapsed_ms
 
 
-def _neighbor_lists(q: QuboMatrix):
-    idx: list[list[int]] = [[] for _ in range(q.dim)]
-    weight: list[list[int]] = [[] for _ in range(q.dim)]
-    for (i, j), value in q.entries.items():
-        if i != j:
-            idx[i].append(j)
-            weight[i].append(value)
-            idx[j].append(i)
-            weight[j].append(value)
-    return ([np.asarray(a, dtype=np.int64) for a in idx],
-            [np.asarray(w, dtype=np.int64) for w in weight])
-
-
 def _batch_sa(q: QuboMatrix, seeds: Sequence[int], sweeps: int,
               beta_start: float, beta_end: float, time_limit_ms: int | None):
     """Lockstep single-flip Metropolis annealing on a geometric beta schedule."""
     start = time.perf_counter()
-    gens, X, G, E, _ = _initial_states(q, seeds)
+    gens, X, G, E, compiled = _initial_states(q, seeds)
     best_energy = E.copy()
     best_bits = X.copy()
     if sweeps > 0:
-        nbr_idx, nbr_weight = _neighbor_lists(q)
+        # unpadded neighbour slices: padded rows cost more per site update
+        neighbors = [(compiled.idx[i, :d], compiled.weight[i, :d][None, :])
+                     for i, d in enumerate(compiled.degree)]
         exponents = np.arange(sweeps) / max(1, sweeps - 1)
         betas = beta_start * (beta_end / beta_start) ** exponents
         for sweep in range(sweeps):
@@ -167,9 +155,9 @@ def _batch_sa(q: QuboMatrix, seeds: Sequence[int], sweeps: int,
                 acc = np.nonzero(accept)[0]
                 sign = 1 - 2 * X[acc, i]
                 X[acc, i] = 1 - X[acc, i]
-                idx = nbr_idx[i]
+                idx, weight = neighbors[i]
                 if idx.size:
-                    G[np.ix_(acc, idx)] += sign[:, None] * nbr_weight[i][None, :]
+                    G[np.ix_(acc, idx)] += sign[:, None] * weight
                 E[acc] += delta[acc]
                 improved = E < best_energy
                 if improved.any():
@@ -179,8 +167,13 @@ def _batch_sa(q: QuboMatrix, seeds: Sequence[int], sweeps: int,
     return best_energy, best_bits, elapsed_ms
 
 
-def _results_from_batch(q: QuboMatrix, seeds, best_bits, elapsed_ms) -> list[SolveResult]:
+def _results_from_batch(q: QuboMatrix, seeds, best_bits, elapsed_ms,
+                        tracked_energy=None) -> list[SolveResult]:
+    """Results with energies recomputed from the matrix; they must equal any tracked ones."""
     energies = energy_many(q, best_bits)
+    if tracked_energy is not None and not np.array_equal(energies, tracked_energy):
+        raise RuntimeError(f"tracked best energies {tracked_energy.tolist()} differ from "
+                           f"recomputed {energies.tolist()}")
     return [
         SolveResult(bits=tuple(int(b) for b in best_bits[r]), energy=int(energies[r]),
                     run_index=r, elapsed_ms=elapsed_ms, seed_used=seeds[r])
@@ -191,8 +184,9 @@ def _results_from_batch(q: QuboMatrix, seeds, best_bits, elapsed_ms) -> list[Sol
 def tabu_search(q: QuboMatrix, iteration_limit: int, tenure: int, seed: int,
                 time_limit_ms: int | None = None) -> SolveResult:
     """Single tabu run from a seeded random start; returns the best vector seen."""
-    _, best_bits, elapsed = _batch_tabu(q, [seed], iteration_limit, tenure, time_limit_ms)
-    return _results_from_batch(q, [seed], best_bits, elapsed)[0]
+    best_energy, best_bits, elapsed = _batch_tabu(q, [seed], iteration_limit, tenure,
+                                                  time_limit_ms)
+    return _results_from_batch(q, [seed], best_bits, elapsed, best_energy)[0]
 
 
 def simulated_annealing(q: QuboMatrix, sweeps: int, beta_start: float, beta_end: float,
@@ -200,8 +194,8 @@ def simulated_annealing(q: QuboMatrix, sweeps: int, beta_start: float, beta_end:
     """Single annealing run; returns the best vector seen."""
     if not 0 < beta_start < beta_end:
         raise ValueError("need 0 < beta_start < beta_end")
-    _, best_bits, elapsed = _batch_sa(q, [seed], sweeps, beta_start, beta_end, None)
-    return _results_from_batch(q, [seed], best_bits, elapsed)[0]
+    best_energy, best_bits, elapsed = _batch_sa(q, [seed], sweeps, beta_start, beta_end, None)
+    return _results_from_batch(q, [seed], best_bits, elapsed, best_energy)[0]
 
 
 def solve(q: QuboMatrix, config: SolverConfig) -> list[SolveResult]:
@@ -229,13 +223,13 @@ def solve(q: QuboMatrix, config: SolverConfig) -> list[SolveResult]:
         if iteration_limit is None and config.time_limit_ms is None:
             iteration_limit = default_iteration_limit(q.dim)
         tenure = config.tabu_tenure or default_tenure(q.dim)
-        _, best_bits, elapsed = _batch_tabu(q, seeds, iteration_limit, tenure,
-                                            config.time_limit_ms)
-        return _results_from_batch(q, seeds, best_bits, elapsed)
+        best_energy, best_bits, elapsed = _batch_tabu(q, seeds, iteration_limit, tenure,
+                                                      config.time_limit_ms)
+        return _results_from_batch(q, seeds, best_bits, elapsed, best_energy)
 
-    _, best_bits, elapsed = _batch_sa(q, seeds, config.sa_sweeps, config.sa_beta_start,
-                                      config.sa_beta_end, config.time_limit_ms)
-    return _results_from_batch(q, seeds, best_bits, elapsed)
+    best_energy, best_bits, elapsed = _batch_sa(q, seeds, config.sa_sweeps, config.sa_beta_start,
+                                                config.sa_beta_end, config.time_limit_ms)
+    return _results_from_batch(q, seeds, best_bits, elapsed, best_energy)
 
 
 def random_baseline(formula: CnfFormula, k: int, seed: int) -> list[tuple[tuple[int, ...], int]]:

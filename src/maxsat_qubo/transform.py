@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .formula import CnfFormula, classify_clause
-from .qubo import QuboMatrix, VariableLayout
+from .qubo import QuboMatrix, VariableLayout, read_triplets
 
 EXACT_ALL_7 = "exact-all-7"
 APPROX_6_OF_7 = "approx-6-of-7"
@@ -330,34 +330,7 @@ def write_pattern(pattern: ClausePattern, clause_type: int, comments: Sequence[s
 
 def parse_pattern(text: str) -> tuple[ClausePattern, int]:
     """Parse pattern text into (pattern, clause_type)."""
-    if hasattr(text, "read"):
-        text = text.read()
-    header = None
-    coefficients: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            fields = line.split()
-            if len(fields) != 5 or fields[1] != "pattern":
-                raise ValueError(f"line {lineno}: malformed header {line!r}")
-            header = tuple(int(f) for f in fields[2:])
-            continue
-        if header is None:
-            raise ValueError(f"line {lineno}: entry before 'p pattern' header")
-        fields = line.split()
-        if len(fields) != 3:
-            raise ValueError(f"line {lineno}: expected 'i j coeff', got {line!r}")
-        i, j, value = (int(f) for f in fields)
-        if (i, j) in coefficients:
-            raise ValueError(f"line {lineno}: duplicate entry ({i}, {j})")
-        coefficients[(i, j)] = value
-    if header is None:
-        raise ValueError("missing 'p pattern' header")
-    dim, clause_type, declared = header
-    if len(coefficients) != declared:
-        raise ValueError(f"header declares {declared} entries but {len(coefficients)} were read")
+    (dim, clause_type, _), coefficients, _ = read_triplets(text, "pattern", 3)
     if clause_type not in (0, 1, 2, 3):
         raise ValueError(f"clause type must be 0..3, got {clause_type}")
     return ClausePattern(dim, coefficients), clause_type

@@ -76,6 +76,31 @@ def test_solve_rejects_mismatched_cnf(tmp_path, cnf_file):
                  "--cnf", cnf_file, "--out", str(tmp_path / "r.jsonl")]) == 1
 
 
+def test_solve_coefficients_beyond_int32(tmp_path):
+    from maxsat_qubo.qubo import energy
+    qubo_path = tmp_path / "wide.qubo"
+    qubo_path.write_text("p qubo 3 4\n0 0 -1\n0 1 2147483648\n1 1 -1\n1 2 -3000000000\n",
+                         encoding="utf-8")
+    matrix, _ = parse_qubo(qubo_path.read_text(encoding="utf-8"))
+    results_path = tmp_path / "r.jsonl"
+    for solver, budget in (("tabu", ["--iter", "20"]), ("sa", ["--sweeps", "5"]),
+                           ("brute", []), ("random", [])):
+        assert main(["solve", "--solver", solver, "--samples", "3", *budget,
+                     "--in", str(qubo_path), "--out", str(results_path)]) == 0
+        for line in results_path.read_text(encoding="utf-8").splitlines():
+            row = json.loads(line)
+            assert energy(matrix, tuple(int(b) for b in row["bits"])) == row["energy"]
+
+
+def test_solve_rejects_coefficients_beyond_exact_int64(tmp_path, capsys):
+    qubo_path = tmp_path / "huge.qubo"
+    qubo_path.write_text("p qubo 2 2\n0 0 2305843009213693952\n0 1 -2305843009213693952\n",
+                         encoding="utf-8")
+    assert main(["solve", "--solver", "tabu", "--iter", "5", "--in", str(qubo_path),
+                 "--out", str(tmp_path / "r.jsonl")]) == 1
+    assert capsys.readouterr().err.startswith("error: coefficient magnitudes sum to")
+
+
 def test_io_error_exit_code(tmp_path):
     assert main(["transform", "--method", "nuesslein", "--in",
                  str(tmp_path / "nope.cnf"), "--out", str(tmp_path / "o.qubo")]) == 2

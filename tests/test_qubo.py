@@ -118,11 +118,15 @@ def test_energy_min_aux_fast_path_matches_enumeration():
             assert energy_min_aux(q, layout, bits) == _enumerated_min_aux(q, layout, bits)
 
 
-def test_energy_min_aux_aux_coupling_fallback():
+def test_energy_min_aux_rejects_aux_aux_coupling():
     q = QuboMatrix(4, {(0, 0): 1, (2, 3): -2, (2, 2): 1, (3, 3): 1, (0, 2): -1})
     layout = VariableLayout(2, (0, 1))
-    for bits in itertools.product((0, 1), repeat=2):
-        assert energy_min_aux(q, layout, bits) == _enumerated_min_aux(q, layout, bits)
+    with pytest.raises(ValueError, match="aux-aux"):
+        energy_min_aux(q, layout, (0, 1))
+    with pytest.raises(ValueError, match="aux-aux"):
+        energy_min_aux_many(q, layout, np.zeros((3, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match="aux-aux"):
+        minimize_with_aux(q, layout)
 
 
 def test_energy_min_aux_many_matches_scalar():
@@ -268,6 +272,10 @@ def test_qubo_text_roundtrip_with_layout():
     ("p qubo 2 2\n0 0 1\n0 0 2\n", "duplicate"),
     ("p qubo 2 1\n0 0\n", "i j coeff"),
     ("c aux 0 clause 0\np qubo 2 1\n1 1 1\n", "trailing"),
+    ("p qubo 2 1\n0 0 1\np qubo 3 1\n", "line 3: second 'p qubo' header"),
+    ("p qubo 2 1\n0 1 1.5\n", "line 2: non-integer"),
+    ("p qubo two 1\n", "line 1: non-integer"),
+    ("c aux 1 clause x\np qubo 2 1\n1 1 1\n", "line 1: non-integer"),
 ])
 def test_qubo_text_errors(text, match):
     with pytest.raises(ValueError, match=match):

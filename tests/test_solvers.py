@@ -8,6 +8,7 @@ from maxsat_qubo.qubo import QuboMatrix, brute_force_min, energy
 from maxsat_qubo.rng import generator, mix
 from maxsat_qubo.solvers import (
     SolverConfig,
+    _results_from_batch,
     energy_gains,
     random_baseline,
     simulated_annealing,
@@ -181,6 +182,14 @@ def test_results_energy_reverifies_and_incumbent_monotone():
             start = tuple(int(b) for b in
                           generator(result.seed_used).integers(0, 2, size=20))
             assert result.energy <= energy(q, start)
+
+
+def test_results_reject_tracked_energy_mismatch():
+    q = random_qubo(5, 6, 2)
+    zeros = np.zeros((2, 5), dtype=np.int64)
+    assert [r.energy for r in _results_from_batch(q, [0, 1], zeros, 0, np.zeros(2))] == [0, 0]
+    with pytest.raises(RuntimeError, match="tracked"):
+        _results_from_batch(q, [0, 1], zeros, 0, np.array([0, 1]))
 
 
 def test_tabu_budget_scaling_never_hurts():

@@ -285,6 +285,17 @@ def test_pattern_file_roundtrip():
     assert clause_type == 2
 
 
+@pytest.mark.parametrize("text,match", [
+    ("p pattern 3 0 1\n0 0 1\np pattern 3 2 1\n", "line 3: second 'p pattern' header"),
+    ("p pattern 3 0 1\n0 1 one\n", "line 2: non-integer"),
+    ("p pattern 3 x 1\n", "line 1: non-integer"),
+    ("c only a comment\n", "missing 'p pattern' header"),
+])
+def test_pattern_text_errors(text, match):
+    with pytest.raises(ValueError, match=match):
+        parse_pattern(text)
+
+
 def test_spec_bundle_roundtrip(tmp_path):
     spec = builtin_spec("fullapprox")
     write_spec_bundle(spec, str(tmp_path / "bundle"))
