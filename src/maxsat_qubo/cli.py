@@ -8,13 +8,25 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import harness, pattern_search, qubo, solvers, transform
-from .formula import count_satisfied, generate_balanced, parse_dimacs, write_dimacs
+from .formula import count_satisfied_many, generate_balanced, parse_dimacs, write_dimacs
 from .rng import mix
 from .transform import APPROX_6_OF_7, EXACT_ALL_7
 
 _CRITERIA = {"exact": EXACT_ALL_7, "approx": APPROX_6_OF_7,
              EXACT_ALL_7: EXACT_ALL_7, APPROX_6_OF_7: APPROX_6_OF_7}
+
+# solve flag -> (the SolverConfig field it sets, the solvers that read that field)
+_SOLVER_FLAGS = {
+    "iter": ("iteration_limit", ("tabu",)),
+    "tenure": ("tabu_tenure", ("tabu",)),
+    "time_limit_ms": ("time_limit_ms", ("tabu", "sa")),
+    "sweeps": ("sa_sweeps", ("sa",)),
+    "beta_start": ("sa_beta_start", ("sa",)),
+    "beta_end": ("sa_beta_end", ("sa",)),
+}
 
 
 def _read(path: str) -> str:
@@ -61,6 +73,12 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    given = {flag: getattr(args, flag) for flag in _SOLVER_FLAGS
+             if getattr(args, flag) is not None}
+    ignored = ["--" + flag.replace("_", "-") for flag in given
+               if args.solver not in _SOLVER_FLAGS[flag][1]]
+    if ignored:
+        raise ValueError(f"solver {args.solver} ignores {' '.join(ignored)}")
     matrix, layout = qubo.parse_qubo(_read(args.infile))
     formula = None
     if args.cnf:
@@ -76,26 +94,22 @@ def _cmd_solve(args) -> int:
                              f"formula vars {formula.num_vars}")
     config = solvers.SolverConfig(
         kind=args.solver, samples=args.samples, seed=args.seed,
-        iteration_limit=args.iter, time_limit_ms=args.time_limit_ms,
-        tabu_tenure=args.tenure, sa_sweeps=args.sweeps,
-        sa_beta_start=args.beta_start, sa_beta_end=args.beta_end)
+        **{_SOLVER_FLAGS[flag][0]: value for flag, value in given.items()})
+    started = time.perf_counter()
     results = solvers.solve(matrix, config)
-    lines = []
-    best = None
-    for result in results:
-        row = {"run": result.run_index,
-               "bits": "".join(str(b) for b in result.bits),
-               "energy": result.energy,
-               "elapsed_ms": result.elapsed_ms,
-               "seed": result.seed_used}
-        if formula is not None:
-            assignment = transform.decode(result.bits, layout)
-            row["satisfied"] = count_satisfied(formula, assignment)
-        lines.append(json.dumps(row))
-        if best is None or result.energy < best:
-            best = result.energy
-    _write(args.out, "".join(line + "\n" for line in lines))
-    print(f"{len(results)} samples, best energy {best}; wrote {args.out}")
+    wall_ms = int(round((time.perf_counter() - started) * 1000))
+    rows = [{"run": result.run_index,
+             "bits": "".join(str(b) for b in result.bits),
+             "energy": result.energy,
+             "seed": result.seed_used} for result in results]
+    if formula is not None:
+        bits = np.asarray([result.bits for result in results], dtype=np.int64)
+        satisfied = count_satisfied_many(formula, bits[:, :formula.num_vars])
+        for row, count in zip(rows, satisfied.tolist()):
+            row["satisfied"] = count
+    _write(args.out, "".join(json.dumps(row) + "\n" for row in rows))
+    best = min(result.energy for result in results)
+    print(f"{len(results)} samples in {wall_ms} ms, best energy {best}; wrote {args.out}")
     return 0
 
 
@@ -193,9 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iter", type=int, default=None)
     p.add_argument("--time-limit-ms", type=int, default=None)
     p.add_argument("--tenure", type=int, default=None)
-    p.add_argument("--sweeps", type=int, default=1000)
-    p.add_argument("--beta-start", type=float, default=0.1)
-    p.add_argument("--beta-end", type=float, default=10.0)
+    p.add_argument("--sweeps", type=int, default=None)
+    p.add_argument("--beta-start", type=float, default=None)
+    p.add_argument("--beta-end", type=float, default=None)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--cnf", default=None, help="CNF file for decoding satisfied counts")
     p.add_argument("--out", required=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -78,6 +79,17 @@ class CnfFormula:
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
+
+    @cached_property
+    def clause_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (m, 3) arrays of 0-based variable indices and negation flags."""
+        pairs = [[(lit.variable - 1, lit.negated) for lit in clause.literals]
+                 for clause in self.clauses]
+        table = np.array(pairs, dtype=np.int64).reshape(len(self.clauses), 3, 2)
+        variables, negated = table[:, :, 0].copy(), table[:, :, 1].astype(bool)
+        variables.setflags(write=False)
+        negated.setflags(write=False)
+        return variables, negated
 
 
 def clause_of(*lits: int) -> Clause:
@@ -180,18 +192,6 @@ def count_satisfied(formula: CnfFormula, bits: Sequence[int]) -> int:
     return sum(1 for clause in formula.clauses if clause.is_satisfied(bits))
 
 
-def clause_arrays(formula: CnfFormula) -> tuple[np.ndarray, np.ndarray]:
-    """(m, 3) arrays of 0-based variable indices and negation flags."""
-    m = formula.num_clauses
-    variables = np.zeros((m, 3), dtype=np.int64)
-    negated = np.zeros((m, 3), dtype=bool)
-    for ci, clause in enumerate(formula.clauses):
-        for li, lit in enumerate(clause.literals):
-            variables[ci, li] = lit.variable - 1
-            negated[ci, li] = lit.negated
-    return variables, negated
-
-
 def count_satisfied_many(formula: CnfFormula, bits_rows: np.ndarray) -> np.ndarray:
     """Vectorized count_satisfied over rows of a (k, num_vars) 0/1 matrix."""
     rows = np.asarray(bits_rows, dtype=bool)
@@ -199,7 +199,7 @@ def count_satisfied_many(formula: CnfFormula, bits_rows: np.ndarray) -> np.ndarr
         raise ValueError(f"expected shape (k, {formula.num_vars}), got {rows.shape}")
     if formula.num_clauses == 0:
         return np.zeros(rows.shape[0], dtype=np.int64)
-    variables, negated = clause_arrays(formula)
+    variables, negated = formula.clause_arrays
     truth = rows[:, variables] ^ negated[None, :, :]
     return truth.any(axis=2).sum(axis=1).astype(np.int64)
 

@@ -8,12 +8,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .formula import CnfFormula, count_satisfied
+from .formula import CnfFormula, count_satisfied_many
+from .qubo import EXACT_INT64_BOUND
 from .rng import mix
 from .solvers import solve
-from .transform import (APPROX_6_OF_7, EXACT_ALL_7, TRIPLES, ClausePattern,
-                        TransformSpec, assemble, decode, pattern_minima,
-                        satisfying_triples, unsat_triple)
+from .transform import (APPROX_6_OF_7, EXACT_ALL_7, SLOT_ORDERS, ClausePattern,
+                        TransformSpec, assemble, coverage_check, meets_criterion,
+                        triple_energies)
 
 MAX_4X4_CANDIDATES = 10 ** 8
 _CHUNK = 1 << 18
@@ -23,10 +24,8 @@ _CHUNK = 1 << 18
 CANONICAL_VALUES = (-1, 0, 1)
 CANONICAL_PATTERNS_PER_TYPE = 4
 
-# coefficient slot order used by the searches, most significant digit first
-COEFF_ORDER_3X3 = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-COEFF_ORDER_4X4 = ((0, 0), (1, 1), (2, 2), (3, 3),
-                   (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+COEFF_ORDER_3X3 = SLOT_ORDERS[3]
+COEFF_ORDER_4X4 = SLOT_ORDERS[4]
 
 
 @dataclass(frozen=True)
@@ -54,25 +53,23 @@ def _as_values(values) -> tuple[int, ...]:
     return ValueSet(tuple(values)).values
 
 
-def _feature_matrix(coeff_order, assignments) -> np.ndarray:
-    features = np.zeros((len(coeff_order), len(assignments)), dtype=np.int64)
-    for row, (i, j) in enumerate(coeff_order):
-        for col, bits in enumerate(assignments):
-            features[row, col] = bits[i] if i == j else bits[i] * bits[j]
-    return features
-
-
-def _digit_columns(indices: np.ndarray, values: np.ndarray, num_digits: int) -> np.ndarray:
-    base = len(values)
-    columns = np.empty((len(indices), num_digits), dtype=np.int64)
-    for pos in range(num_digits):
-        columns[:, pos] = values[(indices // base ** (num_digits - 1 - pos)) % base]
-    return columns
-
-
-def _patterns_from_rows(rows: np.ndarray, coeff_order, dim: int) -> list[ClausePattern]:
-    return [ClausePattern(dim, {key: int(c) for key, c in zip(coeff_order, row) if c})
-            for row in rows]
+def _search(values, dim: int, clause_type: int, criterion: str) -> list[ClausePattern]:
+    """Patterns meeting the criterion among all rows of SLOT_ORDERS[dim] coefficients."""
+    order = SLOT_ORDERS[dim]
+    vals = _as_values(values)
+    if max(map(abs, vals)) * len(order) >= EXACT_INT64_BOUND:
+        raise ValueError("search values this large could give energies of 2^62 or more")
+    vals = np.asarray(vals, dtype=np.int64)
+    total = len(vals) ** len(order)
+    place = len(vals) ** np.arange(len(order) - 1, -1, -1, dtype=np.int64)
+    patterns = []
+    for start in range(0, total, _CHUNK):
+        indices = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        candidates = vals[indices[:, None] // place % len(vals)]
+        keep = meets_criterion(triple_energies(candidates, dim), clause_type, criterion)
+        patterns += [ClausePattern(dim, {key: int(c) for key, c in zip(order, row) if c})
+                     for row in candidates[keep]]
+    return patterns
 
 
 def search_3x3(values, clause_type: int, criterion: str) -> list[ClausePattern]:
@@ -81,67 +78,16 @@ def search_3x3(values, clause_type: int, criterion: str) -> list[ClausePattern]:
     Candidates are the |S|^6 assignments to (a1, a2, a3, a12, a13, a23),
     enumerated lexicographically over the value set's own ordering.
     """
-    if criterion not in (EXACT_ALL_7, APPROX_6_OF_7):
-        raise ValueError(f"unknown criterion {criterion!r}")
-    vals = np.asarray(_as_values(values), dtype=np.int64)
-    unsat_col = TRIPLES.index(unsat_triple(clause_type))
-    features = _feature_matrix(COEFF_ORDER_3X3, TRIPLES)
-    total = len(vals) ** 6
-    accepted_rows = []
-    for start in range(0, total, _CHUNK):
-        indices = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        candidates = _digit_columns(indices, vals, 6)
-        energies = candidates @ features
-        low = energies.min(axis=1)
-        at_min = energies == low[:, None]
-        sat_at_min = at_min.sum(axis=1) - at_min[:, unsat_col]
-        needed = 7 if criterion == EXACT_ALL_7 else 6
-        keep = (sat_at_min == needed) & (energies[:, unsat_col] > low)
-        if keep.any():
-            accepted_rows.append(candidates[keep])
-    rows = np.concatenate(accepted_rows) if accepted_rows else np.empty((0, 6), dtype=np.int64)
-    return _patterns_from_rows(rows, COEFF_ORDER_3X3, 3)
+    return _search(values, 3, clause_type, criterion)
 
 
 def search_4x4(values, clause_type: int) -> list[ClausePattern]:
     """All 4x4 patterns over the value set whose aux-minimized triple energies
     put every satisfying assignment at the minimum and the falsifying one above it."""
-    vals = np.asarray(_as_values(values), dtype=np.int64)
-    total = len(vals) ** 10
+    total = len(_as_values(values)) ** 10
     if total > MAX_4X4_CANDIDATES:
         raise ValueError(f"{total} candidates exceed the {MAX_4X4_CANDIDATES} guard")
-    assignments = [t + (a,) for t in TRIPLES for a in (0, 1)]
-    features = _feature_matrix(COEFF_ORDER_4X4, assignments)
-    unsat_col = TRIPLES.index(unsat_triple(clause_type))
-    accepted_rows = []
-    for start in range(0, total, _CHUNK):
-        indices = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        candidates = _digit_columns(indices, vals, 10)
-        energies = candidates @ features
-        by_triple = np.minimum(energies[:, 0::2], energies[:, 1::2])
-        low = by_triple.min(axis=1)
-        at_min = by_triple == low[:, None]
-        sat_at_min = at_min.sum(axis=1) - at_min[:, unsat_col]
-        keep = (sat_at_min == 7) & (by_triple[:, unsat_col] > low)
-        if keep.any():
-            accepted_rows.append(candidates[keep])
-    rows = np.concatenate(accepted_rows) if accepted_rows else np.empty((0, 10), dtype=np.int64)
-    return _patterns_from_rows(rows, COEFF_ORDER_4X4, 4)
-
-
-def coverage_check(patterns: Sequence[ClausePattern],
-                   clause_type: int) -> tuple[bool, tuple[int | None, ...]]:
-    """Whether every satisfying triple attains the minimum in some pattern.
-
-    Returns the coverage flag and, per satisfying triple, the index of the
-    first covering pattern (None where uncovered).
-    """
-    minima = [set(pattern_minima(p)) for p in patterns]
-    witnesses = []
-    for triple in satisfying_triples(clause_type):
-        witness = next((i for i, mins in enumerate(minima) if triple in mins), None)
-        witnesses.append(witness)
-    return all(w is not None for w in witnesses), tuple(witnesses)
+    return _search(values, 4, clause_type, EXACT_ALL_7)
 
 
 def enumerate_combinations(per_type: Sequence[Sequence[ClausePattern]]) -> list[TransformSpec]:
@@ -177,8 +123,8 @@ def select_best_combination(formula: CnfFormula, specs: Sequence[TransformSpec],
     for index, spec in enumerate(specs):
         matrix, layout = assemble(formula, spec)
         config = replace(solver_config, seed=mix(seed, index))
-        results = solve(matrix, config)
-        scores.append(max(count_satisfied(formula, decode(r.bits, layout)) for r in results))
+        bits = np.asarray([r.bits for r in solve(matrix, config)], dtype=np.int64)
+        scores.append(int(count_satisfied_many(formula, bits[:, :layout.num_problem_vars]).max()))
     best_index = max(range(len(specs)), key=lambda i: (scores[i], -i))
     return specs[best_index], scores
 

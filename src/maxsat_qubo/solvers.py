@@ -56,7 +56,6 @@ class SolveResult:
     bits: tuple[int, ...]
     energy: int
     run_index: int
-    elapsed_ms: int
     seed_used: int
 
 
@@ -122,8 +121,7 @@ def _batch_tabu(q: QuboMatrix, seeds: Sequence[int], iteration_limit: int | None
             best_energy[improved] = E[improved]
             best_bits[improved] = X[improved]
         iteration += 1
-    elapsed_ms = int(round((time.perf_counter() - start) * 1000))
-    return best_energy, best_bits, elapsed_ms
+    return best_energy, best_bits
 
 
 def _batch_sa(q: QuboMatrix, seeds: Sequence[int], sweeps: int,
@@ -163,12 +161,10 @@ def _batch_sa(q: QuboMatrix, seeds: Sequence[int], sweeps: int,
                 if improved.any():
                     best_energy[improved] = E[improved]
                     best_bits[improved] = X[improved]
-    elapsed_ms = int(round((time.perf_counter() - start) * 1000))
-    return best_energy, best_bits, elapsed_ms
+    return best_energy, best_bits
 
 
-def _results_from_batch(q: QuboMatrix, seeds, best_bits, elapsed_ms,
-                        tracked_energy=None) -> list[SolveResult]:
+def _results_from_batch(q: QuboMatrix, seeds, best_bits, tracked_energy=None) -> list[SolveResult]:
     """Results with energies recomputed from the matrix; they must equal any tracked ones."""
     energies = energy_many(q, best_bits)
     if tracked_energy is not None and not np.array_equal(energies, tracked_energy):
@@ -176,7 +172,7 @@ def _results_from_batch(q: QuboMatrix, seeds, best_bits, elapsed_ms,
                            f"recomputed {energies.tolist()}")
     return [
         SolveResult(bits=tuple(int(b) for b in best_bits[r]), energy=int(energies[r]),
-                    run_index=r, elapsed_ms=elapsed_ms, seed_used=seeds[r])
+                    run_index=r, seed_used=seeds[r])
         for r in range(len(seeds))
     ]
 
@@ -184,9 +180,8 @@ def _results_from_batch(q: QuboMatrix, seeds, best_bits, elapsed_ms,
 def tabu_search(q: QuboMatrix, iteration_limit: int, tenure: int, seed: int,
                 time_limit_ms: int | None = None) -> SolveResult:
     """Single tabu run from a seeded random start; returns the best vector seen."""
-    best_energy, best_bits, elapsed = _batch_tabu(q, [seed], iteration_limit, tenure,
-                                                  time_limit_ms)
-    return _results_from_batch(q, [seed], best_bits, elapsed, best_energy)[0]
+    best_energy, best_bits = _batch_tabu(q, [seed], iteration_limit, tenure, time_limit_ms)
+    return _results_from_batch(q, [seed], best_bits, best_energy)[0]
 
 
 def simulated_annealing(q: QuboMatrix, sweeps: int, beta_start: float, beta_end: float,
@@ -194,8 +189,8 @@ def simulated_annealing(q: QuboMatrix, sweeps: int, beta_start: float, beta_end:
     """Single annealing run; returns the best vector seen."""
     if not 0 < beta_start < beta_end:
         raise ValueError("need 0 < beta_start < beta_end")
-    best_energy, best_bits, elapsed = _batch_sa(q, [seed], sweeps, beta_start, beta_end, None)
-    return _results_from_batch(q, [seed], best_bits, elapsed, best_energy)[0]
+    best_energy, best_bits = _batch_sa(q, [seed], sweeps, beta_start, beta_end, None)
+    return _results_from_batch(q, [seed], best_bits, best_energy)[0]
 
 
 def solve(q: QuboMatrix, config: SolverConfig) -> list[SolveResult]:
@@ -205,31 +200,26 @@ def solve(q: QuboMatrix, config: SolverConfig) -> list[SolveResult]:
     if config.kind == "brute":
         if q.dim > MAX_BRUTE_FORCE_DIM:
             raise ValueError(f"brute solver limited to dim {MAX_BRUTE_FORCE_DIM}, got {q.dim}")
-        start = time.perf_counter()
         best_value, witness = brute_force_min(q)
-        elapsed = int(round((time.perf_counter() - start) * 1000))
-        return [SolveResult(bits=witness, energy=best_value, run_index=r,
-                            elapsed_ms=elapsed, seed_used=seeds[r])
+        return [SolveResult(bits=witness, energy=best_value, run_index=r, seed_used=seeds[r])
                 for r in range(config.samples)]
 
     if config.kind == "random":
-        start = time.perf_counter()
         X = np.stack([generator(s).integers(0, 2, size=q.dim, dtype=np.int64) for s in seeds])
-        elapsed = int(round((time.perf_counter() - start) * 1000))
-        return _results_from_batch(q, seeds, X, elapsed)
+        return _results_from_batch(q, seeds, X)
 
     if config.kind == "tabu":
         iteration_limit = config.iteration_limit
         if iteration_limit is None and config.time_limit_ms is None:
             iteration_limit = default_iteration_limit(q.dim)
         tenure = config.tabu_tenure or default_tenure(q.dim)
-        best_energy, best_bits, elapsed = _batch_tabu(q, seeds, iteration_limit, tenure,
-                                                      config.time_limit_ms)
-        return _results_from_batch(q, seeds, best_bits, elapsed, best_energy)
+        best_energy, best_bits = _batch_tabu(q, seeds, iteration_limit, tenure,
+                                             config.time_limit_ms)
+        return _results_from_batch(q, seeds, best_bits, best_energy)
 
-    best_energy, best_bits, elapsed = _batch_sa(q, seeds, config.sa_sweeps, config.sa_beta_start,
-                                                config.sa_beta_end, config.time_limit_ms)
-    return _results_from_batch(q, seeds, best_bits, elapsed, best_energy)
+    best_energy, best_bits = _batch_sa(q, seeds, config.sa_sweeps, config.sa_beta_start,
+                                       config.sa_beta_end, config.time_limit_ms)
+    return _results_from_batch(q, seeds, best_bits, best_energy)
 
 
 def random_baseline(formula: CnfFormula, k: int, seed: int) -> list[tuple[tuple[int, ...], int]]:

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .formula import CnfFormula, classify_clause
-from .qubo import QuboMatrix, VariableLayout, read_triplets
+from .qubo import EXACT_INT64_BOUND, QuboMatrix, VariableLayout, read_triplets
 
 EXACT_ALL_7 = "exact-all-7"
 APPROX_6_OF_7 = "approx-6-of-7"
@@ -22,6 +22,19 @@ BUILTIN_SPEC_NAMES = ("chancellor_printed", "chancellor_repaired", "nuesslein", 
 TRIPLES: tuple[tuple[int, int, int], ...] = tuple(
     (a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)
 )
+
+# slot pairs behind the entries of a pattern's coefficient row, per pattern dim;
+# the searches enumerate rows with the first slot as the most significant digit
+SLOT_ORDERS = {
+    3: ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)),
+    4: ((0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
+}
+
+# per pattern dim, the 0/1 monomial of each slot pair (rows) under each assignment
+# (columns): the 8 triples for dim 3, their (triple, aux) pairs for dim 4
+_ASSIGNMENTS = {3: np.array(TRIPLES), 4: np.array([t + (a,) for t in TRIPLES for a in (0, 1)])}
+_FEATURES = {dim: np.array([bits[:, i] * bits[:, j] for i, j in SLOT_ORDERS[dim]], dtype=np.int64)
+             for dim, bits in _ASSIGNMENTS.items()}
 
 
 def unsat_triple(clause_type: int) -> tuple[int, int, int]:
@@ -95,27 +108,39 @@ class VerificationReport:
     unsat_energy: int
 
 
+def triple_energies(rows, dim: int) -> np.ndarray:
+    """(k, 8) triple energies of (k, len(SLOT_ORDERS[dim])) int64 coefficient rows;
+    for dim 4 each triple takes the lower of its aux=0 and aux=1 energies."""
+    energies = rows @ _FEATURES[dim]
+    if dim == 4:
+        energies = np.minimum(energies[:, 0::2], energies[:, 1::2])
+    return energies
+
+
+def meets_criterion(energies: np.ndarray, clause_type: int, criterion: str) -> np.ndarray:
+    """Per row of (k, 8) triple energies, whether it meets the criterion for a clause type.
+
+    exact-all-7: all seven satisfying triples share the minimum and the
+    falsifying triple sits strictly above it. approx-6-of-7: exactly six
+    satisfying triples share the minimum while the leftover satisfying triple
+    and the falsifying triple both sit strictly above it.
+    """
+    if criterion not in (EXACT_ALL_7, APPROX_6_OF_7):
+        raise ValueError(f"unknown criterion {criterion!r}")
+    unsat_col = TRIPLES.index(unsat_triple(clause_type))
+    low = energies.min(axis=1)
+    at_min = energies == low[:, None]
+    sat_at_min = at_min.sum(axis=1) - at_min[:, unsat_col]
+    needed = 7 if criterion == EXACT_ALL_7 else 6
+    return (sat_at_min == needed) & (energies[:, unsat_col] > low)
+
+
 def pattern_energies(pattern: ClausePattern) -> np.ndarray:
     """Energies of the 8 variable triples, minimizing over the aux bit for 4x4 patterns."""
-    values = np.zeros(8, dtype=np.int64)
-    if pattern.dim == 3:
-        for idx, triple in enumerate(TRIPLES):
-            total = 0
-            for (i, j), c in pattern.coefficients.items():
-                total += c * triple[i] if i == j else c * triple[i] * triple[j]
-            values[idx] = total
-    else:
-        for idx, triple in enumerate(TRIPLES):
-            best = None
-            for aux in (0, 1):
-                bits = triple + (aux,)
-                total = 0
-                for (i, j), c in pattern.coefficients.items():
-                    total += c * bits[i] if i == j else c * bits[i] * bits[j]
-                if best is None or total < best:
-                    best = total
-            values[idx] = best
-    return values
+    row = [pattern.coefficients.get(key, 0) for key in SLOT_ORDERS[pattern.dim]]
+    if sum(map(abs, row)) >= EXACT_INT64_BOUND:
+        raise ValueError("pattern coefficient magnitudes sum to 2^62 or more")
+    return triple_energies(np.array([row], dtype=np.int64), pattern.dim)[0]
 
 
 def pattern_minima(pattern: ClausePattern) -> tuple[tuple[int, int, int], ...]:
@@ -126,26 +151,27 @@ def pattern_minima(pattern: ClausePattern) -> tuple[tuple[int, int, int], ...]:
 
 
 def verify_pattern(pattern: ClausePattern, clause_type: int, criterion: str) -> VerificationReport:
-    """Exhaustively check a pattern against a clause type.
-
-    exact-all-7: all seven satisfying triples share the minimum and the
-    falsifying triple sits strictly above it. approx-6-of-7: exactly six
-    satisfying triples share the minimum while the leftover satisfying triple
-    and the falsifying triple both sit strictly above it.
-    """
-    if criterion not in (EXACT_ALL_7, APPROX_6_OF_7):
-        raise ValueError(f"unknown criterion {criterion!r}")
+    """Exhaustively check a pattern against a clause type (see meets_criterion)."""
     values = pattern_energies(pattern)
-    low = int(values.min())
-    minima = tuple(TRIPLES[i] for i in range(8) if values[i] == low)
-    bad = unsat_triple(clause_type)
-    unsat_energy = int(values[TRIPLES.index(bad)])
-    sat_at_min = sum(1 for t in minima if t != bad)
-    if criterion == EXACT_ALL_7:
-        valid = sat_at_min == 7 and unsat_energy > low
-    else:
-        valid = sat_at_min == 6 and bad not in minima
-    return VerificationReport(clause_type, criterion, valid, low, minima, unsat_energy)
+    valid = bool(meets_criterion(values[None, :], clause_type, criterion)[0])
+    unsat_energy = int(values[TRIPLES.index(unsat_triple(clause_type))])
+    return VerificationReport(clause_type, criterion, valid, int(values.min()),
+                              pattern_minima(pattern), unsat_energy)
+
+
+def coverage_check(patterns: Sequence[ClausePattern],
+                   clause_type: int) -> tuple[bool, tuple[int | None, ...]]:
+    """Whether every satisfying triple attains the minimum in some pattern.
+
+    Returns the coverage flag and, per satisfying triple, the index of the
+    first covering pattern (None where uncovered).
+    """
+    minima = [set(pattern_minima(p)) for p in patterns]
+    witnesses = []
+    for triple in satisfying_triples(clause_type):
+        witness = next((i for i, mins in enumerate(minima) if triple in mins), None)
+        witnesses.append(witness)
+    return all(w is not None for w in witnesses), tuple(witnesses)
 
 
 def negation_substitute(base: ClausePattern, mask: Sequence[bool]) -> ClausePattern:
@@ -282,30 +308,26 @@ def approximate_with_hint(formula: CnfFormula, hint: Sequence[int],
         raise ValueError(f"hint length {len(hint)} != num_vars {formula.num_vars}")
     if len(approx_sets) != 4:
         raise ValueError("approx_sets must hold one pattern list per clause type")
-    minima_per_type: list[list[set]] = []
+    choices: list[dict] = []  # per type: satisfying triple -> first pattern with it at minimum
     for clause_type, patterns in enumerate(approx_sets):
         if not patterns:
             raise ValueError(f"no approximation patterns for clause type {clause_type}")
         if any(p.dim != 3 for p in patterns):
             raise ValueError("hint-preserving assembly expects 3x3 patterns")
-        minima = [set(pattern_minima(p)) for p in patterns]
-        covered = set().union(*minima)
-        missing = [t for t in satisfying_triples(clause_type) if t not in covered]
+        _, witnesses = coverage_check(patterns, clause_type)
+        choices.append(dict(zip(satisfying_triples(clause_type), witnesses)))
+        missing = [t for t, w in choices[-1].items() if w is None]
         if missing:
             raise ValueError(
                 f"clause type {clause_type} patterns do not cover satisfying triples {missing}"
             )
-        minima_per_type.append(minima)
 
     accumulated: dict[tuple[int, int], int] = {}
     for clause in formula.clauses:
         clause_type, order = classify_clause(clause)
         slots = [v - 1 for v in order]
         triple = tuple(int(hint[v - 1]) for v in order)
-        choice = 0
-        if triple != unsat_triple(clause_type):
-            choice = next(i for i, mins in enumerate(minima_per_type[clause_type])
-                          if triple in mins)
+        choice = choices[clause_type].get(triple, 0)
         _add_pattern(accumulated, approx_sets[clause_type][choice], slots)
     return QuboMatrix.from_accumulated(formula.num_vars, accumulated)
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -99,6 +100,35 @@ def test_solve_rejects_coefficients_beyond_exact_int64(tmp_path, capsys):
     assert main(["solve", "--solver", "tabu", "--iter", "5", "--in", str(qubo_path),
                  "--out", str(tmp_path / "r.jsonl")]) == 1
     assert capsys.readouterr().err.startswith("error: coefficient magnitudes sum to")
+
+
+@pytest.mark.parametrize("solver, flags, ignored", [
+    ("sa", ["--iter", "5", "--tenure", "3", "--sweeps", "2"], "--iter --tenure"),
+    ("tabu", ["--sweeps", "7", "--beta-start", "3"], "--sweeps --beta-start"),
+    ("random", ["--time-limit-ms", "5", "--iter", "9"], "--iter --time-limit-ms"),
+    ("brute", ["--beta-end", "2"], "--beta-end"),
+])
+def test_solve_rejects_flags_its_solver_ignores(tmp_path, capsys, solver, flags, ignored):
+    qubo_path = tmp_path / "small.qubo"
+    qubo_path.write_text("p qubo 2 1\n0 0 -1\n", encoding="utf-8")
+    results_path = tmp_path / "r.jsonl"
+    assert main(["solve", "--solver", solver, *flags, "--in", str(qubo_path),
+                 "--out", str(results_path)]) == 1
+    assert capsys.readouterr().err == f"error: solver {solver} ignores {ignored}\n"
+    assert not results_path.exists()
+
+
+def test_solve_accepts_its_solver_flags_and_reports_batch_time(tmp_path, capsys):
+    qubo_path = tmp_path / "small.qubo"
+    qubo_path.write_text("p qubo 2 1\n0 0 -1\n", encoding="utf-8")
+    results_path = tmp_path / "r.jsonl"
+    assert main(["solve", "--solver", "sa", "--samples", "3", "--sweeps", "4",
+                 "--beta-start", "0.5", "--beta-end", "5", "--time-limit-ms", "60000",
+                 "--in", str(qubo_path), "--out", str(results_path)]) == 0
+    assert re.fullmatch(r"3 samples in \d+ ms, best energy -1; wrote .*\n",
+                        capsys.readouterr().out)
+    rows = [json.loads(line) for line in results_path.read_text(encoding="utf-8").splitlines()]
+    assert [sorted(row) for row in rows] == [["bits", "energy", "run", "seed"]] * 3
 
 
 def test_io_error_exit_code(tmp_path):

@@ -1,12 +1,16 @@
-"""Property tests: the compiled matrix form agrees with the exact Python-int energy."""
+"""Property tests: vectorized kernels agree with the exact Python-int energy."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxsat_qubo.pattern_search import search_3x3
 from maxsat_qubo.qubo import EXACT_INT64_BOUND, QuboMatrix, energy, energy_many
 from maxsat_qubo.solvers import energy_gains
+from maxsat_qubo.transform import (APPROX_6_OF_7, BUILTIN_SPEC_NAMES, EXACT_ALL_7, TRIPLES,
+                                   ClausePattern, builtin_spec, pattern_energies,
+                                   verify_pattern)
 
 SHAPES = ("random", "diagonal", "star", "dim1")
 COEFFS = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 55), 2 ** 55)).filter(bool)
@@ -75,3 +79,50 @@ def test_compiled_form_refuses_inexact_sums():
         energy_gains(over, (1, 0))
     # the exact scalar energy has no bound
     assert energy(QuboMatrix(1, {(0, 0): 3 * 2 ** 61}), (1,)) == 3 * 2 ** 61
+
+
+@st.composite
+def clause_patterns(draw, dim):
+    """A pattern with coefficients in [-3, 3] on every upper-triangle slot pair."""
+    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    return ClausePattern(dim, {pair: draw(st.integers(-3, 3)) for pair in pairs})
+
+
+def _reference_energies(pattern):
+    """Per triple, the exact energy of the pattern's matrix, minimized over the aux bit."""
+    q = QuboMatrix(pattern.dim, pattern.coefficients)
+    aux_bits = [(0,), (1,)] if pattern.dim == 4 else [()]
+    return [min(energy(q, triple + aux) for aux in aux_bits) for triple in TRIPLES]
+
+
+def _reference_valid(values, clause_type, criterion):
+    """The criterion written out: 7 (exact) or 6 (approx) satisfying triples at the
+    minimum and the falsifying triple, (0,)*(3-t) + (1,)*t, strictly above it."""
+    bad = TRIPLES.index((0,) * (3 - clause_type) + (1,) * clause_type)
+    low = min(values)
+    sat_at_min = sum(1 for index, value in enumerate(values) if value == low and index != bad)
+    return sat_at_min == (7 if criterion == EXACT_ALL_7 else 6) and values[bad] > low
+
+
+@pytest.mark.parametrize("dim", (3, 4))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pattern_energies_and_verification_match_exact_reference(dim, data):
+    builtins = [p for name in BUILTIN_SPEC_NAMES for p in builtin_spec(name).patterns
+                if p.dim == dim]
+    pattern = data.draw(st.one_of(clause_patterns(dim), st.sampled_from(builtins)))
+    reference = _reference_energies(pattern)
+    assert pattern_energies(pattern).tolist() == reference
+    for clause_type in range(4):
+        for criterion in (EXACT_ALL_7, APPROX_6_OF_7):
+            assert verify_pattern(pattern, clause_type, criterion).valid == \
+                _reference_valid(reference, clause_type, criterion)
+
+
+def test_pattern_kernels_refuse_inexact_sums():
+    edge = ClausePattern(3, {(0, 0): EXACT_INT64_BOUND - 2, (1, 1): 1})
+    assert pattern_energies(edge).tolist() == _reference_energies(edge)
+    with pytest.raises(ValueError, match="2\\^62"):
+        pattern_energies(ClausePattern(4, {(0, 0): 2 ** 61, (3, 3): -(2 ** 61)}))
+    with pytest.raises(ValueError, match="2\\^62"):
+        search_3x3((0, 2 ** 60), 0, APPROX_6_OF_7)

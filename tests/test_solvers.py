@@ -187,9 +187,9 @@ def test_results_energy_reverifies_and_incumbent_monotone():
 def test_results_reject_tracked_energy_mismatch():
     q = random_qubo(5, 6, 2)
     zeros = np.zeros((2, 5), dtype=np.int64)
-    assert [r.energy for r in _results_from_batch(q, [0, 1], zeros, 0, np.zeros(2))] == [0, 0]
+    assert [r.energy for r in _results_from_batch(q, [0, 1], zeros, np.zeros(2))] == [0, 0]
     with pytest.raises(RuntimeError, match="tracked"):
-        _results_from_batch(q, [0, 1], zeros, 0, np.array([0, 1]))
+        _results_from_batch(q, [0, 1], zeros, np.array([0, 1]))
 
 
 def test_tabu_budget_scaling_never_hurts():

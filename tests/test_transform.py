@@ -11,6 +11,7 @@ from maxsat_qubo.transform import (
     APPROX_6_OF_7,
     EXACT_ALL_7,
     TRIPLES,
+    ClausePattern,
     TransformSpec,
     approximate_with_hint,
     assemble,
@@ -266,6 +267,21 @@ def test_hint_construction_rejects_uncovered_sets():
     formula = CnfFormula(3, (clause_of(1, 2, 3),))
     with pytest.raises(ValueError, match="cover"):
         approximate_with_hint(formula, (1, 1, 1), thin)
+
+
+@pytest.mark.parametrize("clause_type, patterns, match", [
+    (2, [], "no approximation patterns for clause type 2"),
+    (0, [builtin_spec("nuesslein").patterns[0]], "expects 3x3 patterns"),
+    # a valid type-1 approximation whose six minima leave out (0, 0, 0)
+    (1, [ClausePattern(3, {(0, 0): -1, (1, 1): -1, (0, 1): 1})],
+     r"clause type 1 patterns do not cover satisfying triples \[\(0, 0, 0\)\]"),
+])
+def test_hint_construction_rejects_bad_pattern_lists(clause_type, patterns, match):
+    approx_sets = _canonical_approx_sets()
+    approx_sets[clause_type] = patterns
+    formula = CnfFormula(3, (clause_of(1, 2, 3),))
+    with pytest.raises(ValueError, match=match):
+        approximate_with_hint(formula, (1, 1, 1), approx_sets)
 
 
 def test_decode():
