@@ -18,15 +18,10 @@ from .transform import APPROX_6_OF_7, EXACT_ALL_7
 _CRITERIA = {"exact": EXACT_ALL_7, "approx": APPROX_6_OF_7,
              EXACT_ALL_7: EXACT_ALL_7, APPROX_6_OF_7: APPROX_6_OF_7}
 
-# solve flag -> (the SolverConfig field it sets, the solvers that read that field)
-_SOLVER_FLAGS = {
-    "iter": ("iteration_limit", ("tabu",)),
-    "tenure": ("tabu_tenure", ("tabu",)),
-    "time_limit_ms": ("time_limit_ms", ("tabu", "sa")),
-    "sweeps": ("sa_sweeps", ("sa",)),
-    "beta_start": ("sa_beta_start", ("sa",)),
-    "beta_end": ("sa_beta_end", ("sa",)),
-}
+# solve flag -> the SolverConfig field it sets; solvers.SOLVER_OPTIONS says who reads it
+_SOLVER_FLAGS = {"iter": "iteration_limit", "tenure": "tabu_tenure",
+                 "time_limit_ms": "time_limit_ms", "sweeps": "sa_sweeps",
+                 "beta_start": "sa_beta_start", "beta_end": "sa_beta_end"}
 
 
 def _read(path: str) -> str:
@@ -76,7 +71,7 @@ def _cmd_solve(args) -> int:
     given = {flag: getattr(args, flag) for flag in _SOLVER_FLAGS
              if getattr(args, flag) is not None}
     ignored = ["--" + flag.replace("_", "-") for flag in given
-               if args.solver not in _SOLVER_FLAGS[flag][1]]
+               if _SOLVER_FLAGS[flag] not in solvers.SOLVER_OPTIONS[args.solver]]
     if ignored:
         raise ValueError(f"solver {args.solver} ignores {' '.join(ignored)}")
     matrix, layout = qubo.parse_qubo(_read(args.infile))
@@ -94,7 +89,7 @@ def _cmd_solve(args) -> int:
                              f"formula vars {formula.num_vars}")
     config = solvers.SolverConfig(
         kind=args.solver, samples=args.samples, seed=args.seed,
-        **{_SOLVER_FLAGS[flag][0]: value for flag, value in given.items()})
+        **{_SOLVER_FLAGS[flag]: value for flag, value in given.items()})
     started = time.perf_counter()
     results = solvers.solve(matrix, config)
     wall_ms = int(round((time.perf_counter() - started) * 1000))

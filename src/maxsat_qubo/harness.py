@@ -20,7 +20,7 @@ import numpy as np
 from .formula import CnfFormula, count_satisfied_many, generate_balanced
 from .qubo import pruning_schedule
 from .rng import mix
-from .solvers import SolverConfig, random_baseline, solve
+from .solvers import SolverConfig, random_baseline, require_integers, solve
 from .transform import assemble, builtin_spec
 
 EXPERIMENT_KINDS = ("pruning_sweep", "comparison", "scaling")
@@ -40,6 +40,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        require_integers(self, ("count", "num_vars", "num_clauses", "seed"))
+        if not isinstance(self.transforms, (list, tuple)) or not all(
+                isinstance(name, str) for name in self.transforms):
+            raise TypeError(f"transforms must be a list of names, got {self.transforms!r}")
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if self.num_vars < 3:
@@ -48,20 +52,21 @@ class ExperimentConfig:
             raise ValueError("num_clauses must be >= 1")
         if not self.transforms:
             raise ValueError("transforms must name at least one transformation")
+        if self.solver.seed != 0:
+            raise ValueError("solver seed must be left at 0: every run seed derives from "
+                             "the experiment seed")
         object.__setattr__(self, "transforms", tuple(self.transforms))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         data = dict(data)
         solver_data = data.pop("solver", None)
         if not isinstance(solver_data, dict):
             raise ValueError("config needs a 'solver' object")
         try:
-            solver = SolverConfig(**solver_data)
-        except TypeError as exc:
-            raise ValueError(f"bad solver config: {exc}") from None
-        try:
-            return cls(solver=solver, **data)
+            return cls(solver=SolverConfig(**solver_data), **data)
         except TypeError as exc:
             raise ValueError(f"bad experiment config: {exc}") from None
 
@@ -78,7 +83,6 @@ class RunRecord:
     sample: int
     satisfied: int
     energy: int | None
-    elapsed_ms: int | None
     seed: int
 
 
@@ -111,7 +115,7 @@ def _solve_records(formula, matrix, layout, config: SolverConfig, seed: int,
     return [
         RunRecord(formula_id=formula_id, method=method, sample=r.run_index,
                   satisfied=int(satisfied[r.run_index]), energy=r.energy,
-                  elapsed_ms=None, seed=r.seed_used)
+                  seed=r.seed_used)
         for r in results
     ]
 
@@ -168,7 +172,7 @@ def _comparison_records(config: ExperimentConfig) -> list[RunRecord]:
                 random_baseline(formula, config.solver.samples, baseline_seed)):
             records.append(RunRecord(formula_id=formula_id, method=RANDOM_METHOD,
                                      sample=sample, satisfied=satisfied, energy=None,
-                                     elapsed_ms=None, seed=baseline_seed))
+                                     seed=baseline_seed))
     return records
 
 
@@ -269,8 +273,7 @@ def records_to_jsonl(records: Sequence[RunRecord]) -> str:
     for r in records:
         lines.append(json.dumps({
             "formula": r.formula_id, "method": r.method, "sample": r.sample,
-            "satisfied": r.satisfied, "energy": r.energy,
-            "elapsed_ms": r.elapsed_ms, "seed": r.seed,
+            "satisfied": r.satisfied, "energy": r.energy, "seed": r.seed,
         }))
     return "".join(line + "\n" for line in lines)
 
@@ -283,8 +286,7 @@ def parse_records(text: str) -> list[RunRecord]:
         data = json.loads(line)
         records.append(RunRecord(formula_id=data["formula"], method=data["method"],
                                  sample=data["sample"], satisfied=data["satisfied"],
-                                 energy=data["energy"], elapsed_ms=data["elapsed_ms"],
-                                 seed=data["seed"]))
+                                 energy=data["energy"], seed=data["seed"]))
     return records
 
 

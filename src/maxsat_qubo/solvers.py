@@ -7,8 +7,9 @@ derived seed, so results are identical to running the samples one at a time.
 
 from __future__ import annotations
 
+import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -17,9 +18,25 @@ from .formula import CnfFormula, count_satisfied_many
 from .qubo import MAX_BRUTE_FORCE_DIM, QuboMatrix, brute_force_min, energy_many
 from .rng import generator, mix
 
-SOLVER_KINDS = ("brute", "tabu", "sa", "random")
+# the SolverConfig option fields each solver kind reads; the CLI and experiments defer to it
+SOLVER_OPTIONS = {
+    "brute": (),
+    "tabu": ("iteration_limit", "tabu_tenure", "time_limit_ms"),
+    "sa": ("sa_sweeps", "sa_beta_start", "sa_beta_end", "time_limit_ms"),
+    "random": (),
+}
+SOLVER_KINDS = tuple(SOLVER_OPTIONS)
+_OPTION_FIELDS = tuple(dict.fromkeys(name for names in SOLVER_OPTIONS.values() for name in names))
 
 _BIG = np.int64(1) << 62
+
+
+def require_integers(obj, names: Sequence[str]) -> None:
+    """TypeError unless each named attribute is an integer (a bool is not)."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -37,6 +54,18 @@ class SolverConfig:
     def __post_init__(self):
         if self.kind not in SOLVER_KINDS:
             raise ValueError(f"unknown solver kind {self.kind!r}, expected one of {SOLVER_KINDS}")
+        require_integers(self, [name for name in ("samples", "seed", "iteration_limit",
+                                                  "time_limit_ms", "tabu_tenure", "sa_sweeps")
+                                if getattr(self, name) is not None])
+        for name in ("sa_beta_start", "sa_beta_end"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
+        defaults = {field.name: field.default for field in fields(self)}
+        ignored = [name for name in _OPTION_FIELDS if name not in SOLVER_OPTIONS[self.kind]
+                   and getattr(self, name) != defaults[name]]
+        if ignored:
+            raise ValueError(f"solver {self.kind} ignores {' '.join(ignored)}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.iteration_limit is not None and self.iteration_limit < 0:
@@ -57,14 +86,6 @@ class SolveResult:
     energy: int
     run_index: int
     seed_used: int
-
-
-def default_tenure(dim: int) -> int:
-    return max(10, dim // 10)
-
-
-def default_iteration_limit(dim: int) -> int:
-    return 10_000 * dim
 
 
 def energy_gains(q: QuboMatrix, bits: Sequence[int]) -> np.ndarray:
@@ -177,32 +198,14 @@ def _results_from_batch(q: QuboMatrix, seeds, best_bits, tracked_energy=None) ->
     ]
 
 
-def tabu_search(q: QuboMatrix, iteration_limit: int, tenure: int, seed: int,
-                time_limit_ms: int | None = None) -> SolveResult:
-    """Single tabu run from a seeded random start; returns the best vector seen."""
-    best_energy, best_bits = _batch_tabu(q, [seed], iteration_limit, tenure, time_limit_ms)
-    return _results_from_batch(q, [seed], best_bits, best_energy)[0]
-
-
-def simulated_annealing(q: QuboMatrix, sweeps: int, beta_start: float, beta_end: float,
-                        seed: int) -> SolveResult:
-    """Single annealing run; returns the best vector seen."""
-    if not 0 < beta_start < beta_end:
-        raise ValueError("need 0 < beta_start < beta_end")
-    best_energy, best_bits = _batch_sa(q, [seed], sweeps, beta_start, beta_end, None)
-    return _results_from_batch(q, [seed], best_bits, best_energy)[0]
-
-
-def solve(q: QuboMatrix, config: SolverConfig) -> list[SolveResult]:
-    """Run the configured sampler; run r uses the derived seed mix(config.seed, r)."""
-    seeds = [mix(config.seed, r) for r in range(config.samples)]
-
+def _run(q: QuboMatrix, config: SolverConfig, seeds: Sequence[int]) -> list[SolveResult]:
+    """One run of the configured sampler per seed; config.samples and config.seed are not read."""
     if config.kind == "brute":
         if q.dim > MAX_BRUTE_FORCE_DIM:
             raise ValueError(f"brute solver limited to dim {MAX_BRUTE_FORCE_DIM}, got {q.dim}")
         best_value, witness = brute_force_min(q)
-        return [SolveResult(bits=witness, energy=best_value, run_index=r, seed_used=seeds[r])
-                for r in range(config.samples)]
+        return [SolveResult(bits=witness, energy=best_value, run_index=r, seed_used=seed)
+                for r, seed in enumerate(seeds)]
 
     if config.kind == "random":
         X = np.stack([generator(s).integers(0, 2, size=q.dim, dtype=np.int64) for s in seeds])
@@ -211,15 +214,35 @@ def solve(q: QuboMatrix, config: SolverConfig) -> list[SolveResult]:
     if config.kind == "tabu":
         iteration_limit = config.iteration_limit
         if iteration_limit is None and config.time_limit_ms is None:
-            iteration_limit = default_iteration_limit(q.dim)
-        tenure = config.tabu_tenure or default_tenure(q.dim)
+            iteration_limit = 10_000 * q.dim
+        tenure = config.tabu_tenure or max(10, q.dim // 10)
         best_energy, best_bits = _batch_tabu(q, seeds, iteration_limit, tenure,
                                              config.time_limit_ms)
-        return _results_from_batch(q, seeds, best_bits, best_energy)
-
-    best_energy, best_bits = _batch_sa(q, seeds, config.sa_sweeps, config.sa_beta_start,
-                                       config.sa_beta_end, config.time_limit_ms)
+    else:
+        best_energy, best_bits = _batch_sa(q, seeds, config.sa_sweeps, config.sa_beta_start,
+                                           config.sa_beta_end, config.time_limit_ms)
     return _results_from_batch(q, seeds, best_bits, best_energy)
+
+
+def tabu_search(q: QuboMatrix, iteration_limit: int, tenure: int, seed: int,
+                time_limit_ms: int | None = None) -> SolveResult:
+    """Single tabu run from a seeded random start; returns the best vector seen."""
+    config = SolverConfig(kind="tabu", iteration_limit=iteration_limit, tabu_tenure=tenure,
+                          time_limit_ms=time_limit_ms)
+    return _run(q, config, [seed])[0]
+
+
+def simulated_annealing(q: QuboMatrix, sweeps: int, beta_start: float, beta_end: float,
+                        seed: int) -> SolveResult:
+    """Single annealing run; returns the best vector seen."""
+    config = SolverConfig(kind="sa", sa_sweeps=sweeps, sa_beta_start=beta_start,
+                          sa_beta_end=beta_end)
+    return _run(q, config, [seed])[0]
+
+
+def solve(q: QuboMatrix, config: SolverConfig) -> list[SolveResult]:
+    """Run the configured sampler; run r uses the derived seed mix(config.seed, r)."""
+    return _run(q, config, [mix(config.seed, r) for r in range(config.samples)])
 
 
 def random_baseline(formula: CnfFormula, k: int, seed: int) -> list[tuple[tuple[int, ...], int]]:

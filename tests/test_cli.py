@@ -1,5 +1,6 @@
 """End-to-end command-line runs covering every subcommand and exit code."""
 
+import dataclasses
 import json
 import os
 import re
@@ -8,9 +9,10 @@ import sys
 
 import pytest
 
-from maxsat_qubo.cli import main
+from maxsat_qubo.cli import _SOLVER_FLAGS, build_parser, main
 from maxsat_qubo.formula import count_satisfied, parse_dimacs
 from maxsat_qubo.qubo import nnz_offdiag, parse_qubo
+from maxsat_qubo.solvers import SOLVER_OPTIONS, SolverConfig
 from maxsat_qubo.transform import decode, parse_pattern, verify_pattern, APPROX_6_OF_7
 
 
@@ -183,6 +185,45 @@ def test_experiment_rejects_bad_config(tmp_path):
     open(config_path, "w", encoding="utf-8").write("{\"kind\": \"comparison\"}")
     assert main(["experiment", "--config", config_path,
                  "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("change", [
+    {"solver": {"kind": "sa", "samples": 2.5}},
+    {"solver": {"kind": "sa", "samples": True}},
+    {"solver": {"kind": "tabu", "iteration_limit": 5.5}},
+    {"solver": {"kind": "sa", "sa_beta_end": "5"}},
+    {"solver": {"kind": "tabu", "sa_sweeps": 7}},
+    {"solver": {"kind": "tabu", "seed": 12345}},
+    {"seed": 1.5},
+    {"count": "2"},
+    {"transforms": "nuesslein"},
+    {"transforms": [1]},
+])
+def test_experiment_rejects_wrongly_typed_or_ignored_values(tmp_path, capsys, change):
+    config = {"kind": "comparison", "count": 1, "num_vars": 6, "num_clauses": 10, "seed": 3,
+              "transforms": ["nuesslein"], "solver": {"kind": "tabu", "iteration_limit": 5}}
+    config.update(change)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["experiment", "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_solver_flags_cover_solver_options():
+    flag_fields = list(_SOLVER_FLAGS.values())
+    assert set(flag_fields) <= {field.name for field in dataclasses.fields(SolverConfig)}
+    for options in SOLVER_OPTIONS.values():
+        for option in options:
+            assert flag_fields.count(option) == 1
+    parser = build_parser()
+    for flag, field in _SOLVER_FLAGS.items():
+        args = parser.parse_args(["solve", "--solver", "tabu", "--" + flag.replace("_", "-"),
+                                  "1", "--in", "q", "--out", "r"])
+        assert getattr(args, flag) == 1
 
 
 def test_console_module_entrypoint(tmp_path):

@@ -37,10 +37,10 @@ def _sa_config(kind="comparison", count=2, num_vars=8, num_clauses=20, seed=5,
 
 
 def test_best_of_k():
-    records = [RunRecord(0, "m", i, s, None, None, 0) for i, s in enumerate((450, 462, 455))]
+    records = [RunRecord(0, "m", i, s, None, 0) for i, s in enumerate((450, 462, 455))]
     assert best_of_k(records) == 462
     assert best_of_k(records[:1]) == 450
-    assert best_of_k([RunRecord(0, "m", i, 7, None, None, 0) for i in range(3)]) == 7
+    assert best_of_k([RunRecord(0, "m", i, 7, None, 0) for i in range(3)]) == 7
     with pytest.raises(ValueError, match="record"):
         best_of_k([])
 
@@ -59,6 +59,16 @@ def test_config_validation():
         ExperimentConfig.from_dict({"kind": "comparison", "count": 1, "num_vars": 5,
                                     "num_clauses": 5, "seed": 0, "transforms": ["nuesslein"],
                                     "solver": {"kind": "sa"}, "extra": 1})
+    with pytest.raises(ValueError, match="JSON object"):
+        ExperimentConfig.from_dict([["kind", "comparison"]])
+    with pytest.raises(ValueError, match="run seed derives from the experiment seed"):
+        ExperimentConfig.from_dict({"kind": "comparison", "count": 1, "num_vars": 5,
+                                    "num_clauses": 5, "seed": 0, "transforms": ["nuesslein"],
+                                    "solver": {"kind": "sa", "seed": 12345}})
+    with pytest.raises(ValueError, match="solver tabu ignores sa_sweeps"):
+        ExperimentConfig.from_dict({"kind": "comparison", "count": 1, "num_vars": 5,
+                                    "num_clauses": 5, "seed": 0, "transforms": ["nuesslein"],
+                                    "solver": {"kind": "tabu", "sa_sweeps": 7}})
 
 
 def test_config_roundtrip():

@@ -1,16 +1,21 @@
-"""Property tests: vectorized kernels agree with the exact Python-int energy."""
+"""Property tests: vectorized kernels agree with the exact Python-int energy, text
+formats round-trip, and batch solves equal single runs."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxsat_qubo.formula import Clause, CnfFormula, Literal, parse_dimacs, write_dimacs
 from maxsat_qubo.pattern_search import search_3x3
-from maxsat_qubo.qubo import EXACT_INT64_BOUND, QuboMatrix, energy, energy_many
-from maxsat_qubo.solvers import energy_gains
+from maxsat_qubo.qubo import (EXACT_INT64_BOUND, QuboMatrix, VariableLayout, energy,
+                              energy_many, parse_qubo, write_qubo)
+from maxsat_qubo.rng import mix
+from maxsat_qubo.solvers import (SolverConfig, energy_gains, simulated_annealing, solve,
+                                 tabu_search)
 from maxsat_qubo.transform import (APPROX_6_OF_7, BUILTIN_SPEC_NAMES, EXACT_ALL_7, TRIPLES,
-                                   ClausePattern, builtin_spec, pattern_energies,
-                                   verify_pattern)
+                                   ClausePattern, builtin_spec, parse_pattern, pattern_energies,
+                                   verify_pattern, write_pattern)
 
 SHAPES = ("random", "diagonal", "star", "dim1")
 COEFFS = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 55), 2 ** 55)).filter(bool)
@@ -126,3 +131,73 @@ def test_pattern_kernels_refuse_inexact_sums():
         pattern_energies(ClausePattern(4, {(0, 0): 2 ** 61, (3, 3): -(2 ** 61)}))
     with pytest.raises(ValueError, match="2\\^62"):
         search_3x3((0, 2 ** 60), 0, APPROX_6_OF_7)
+
+
+@st.composite
+def formulas(draw):
+    num_vars = draw(st.integers(3, 12))
+    clause = st.tuples(st.permutations(range(1, num_vars + 1)), st.lists(
+        st.booleans(), min_size=3, max_size=3)).map(lambda pair: Clause(tuple(
+            Literal(v, n) for v, n in zip(pair[0][:3], pair[1]))))
+    return CnfFormula(num_vars, tuple(draw(st.lists(clause, max_size=12))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(formula=formulas())
+def test_dimacs_round_trip(formula):
+    assert parse_dimacs(write_dimacs(formula, comments=["seed=1"])) == formula
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_qubo_round_trip_with_and_without_layout(data):
+    q, _ = data.draw(matrices("random"))
+    assert parse_qubo(write_qubo(q, comments=["transform=x"])) == (q, None)
+    aux = data.draw(st.integers(1, q.dim))
+    owners = tuple(data.draw(st.lists(st.integers(0, 99), min_size=aux, max_size=aux)))
+    layout = VariableLayout(q.dim - aux, owners)
+    assert parse_qubo(write_qubo(q, layout)) == (q, layout)
+
+
+@pytest.mark.parametrize("dim", (3, 4))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pattern_round_trip(dim, data):
+    pattern = data.draw(clause_patterns(dim))
+    clause_type = data.draw(st.integers(0, 3))
+    assert parse_pattern(write_pattern(pattern, clause_type)) == (pattern, clause_type)
+
+
+@pytest.mark.parametrize("kind", ("tabu", "sa"))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_batch_rows_equal_single_runs(kind, data):
+    q, _ = data.draw(matrices(data.draw(st.sampled_from(SHAPES))))
+    seed = data.draw(st.integers(0, 2 ** 64 - 1))
+    samples = data.draw(st.integers(1, 4))
+    if kind == "tabu":
+        limit, tenure = data.draw(st.integers(0, 40)), data.draw(st.integers(1, 8))
+        config = SolverConfig(kind="tabu", samples=samples, seed=seed, iteration_limit=limit,
+                              tabu_tenure=tenure)
+        singles = [tabu_search(q, limit, tenure, mix(seed, r)) for r in range(samples)]
+    else:
+        sweeps = data.draw(st.integers(0, 8))
+        beta_start = data.draw(st.floats(0.01, 2.0))
+        beta_end = beta_start + data.draw(st.floats(0.01, 10.0))
+        config = SolverConfig(kind="sa", samples=samples, seed=seed, sa_sweeps=sweeps,
+                              sa_beta_start=beta_start, sa_beta_end=beta_end)
+        singles = [simulated_annealing(q, sweeps, beta_start, beta_end, mix(seed, r))
+                   for r in range(samples)]
+    batch = solve(q, config)
+    assert [(r.bits, r.energy, r.seed_used) for r in batch] == \
+        [(r.bits, r.energy, r.seed_used) for r in singles]
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda q: tabu_search(q, -5, 5, 1), "iteration_limit"),
+    (lambda q: tabu_search(q, 10, 0, 1), "tabu_tenure"),
+    (lambda q: simulated_annealing(q, -3, 0.1, 1.0, 1), "sa_sweeps"),
+])
+def test_single_run_wrappers_check_their_budget(run, message):
+    with pytest.raises(ValueError, match=message):
+        run(QuboMatrix(2, {(0, 0): -1, (0, 1): 2}))

@@ -31,6 +31,28 @@ def test_config_validation():
         SolverConfig(kind="tabu", time_limit_ms=0)
 
 
+@pytest.mark.parametrize("options, error, message", [
+    ({"kind": "tabu", "sa_sweeps": 7, "sa_beta_start": 3.0}, ValueError,
+     "solver tabu ignores sa_sweeps sa_beta_start$"),
+    ({"kind": "sa", "iteration_limit": 5, "tabu_tenure": 3}, ValueError,
+     "solver sa ignores iteration_limit tabu_tenure$"),
+    ({"kind": "random", "iteration_limit": 9}, ValueError, "solver random ignores iteration_limit$"),
+    ({"kind": "brute", "time_limit_ms": 5}, ValueError, "solver brute ignores time_limit_ms$"),
+    ({"kind": "sa", "samples": 2.5}, TypeError, "samples must be an integer"),
+    ({"kind": "sa", "seed": True}, TypeError, "seed must be an integer"),
+    ({"kind": "tabu", "iteration_limit": 5.5}, TypeError, "iteration_limit must be an integer"),
+    ({"kind": "sa", "sa_beta_end": "5"}, TypeError, "sa_beta_end must be a real number"),
+])
+def test_config_rejects_ignored_options_and_wrong_types(options, error, message):
+    with pytest.raises(error, match=message):
+        SolverConfig(**options)
+
+
+def test_config_accepts_ignored_options_left_at_their_defaults():
+    config = SolverConfig(kind="tabu", sa_sweeps=1000, sa_beta_start=0.1, sa_beta_end=10.0)
+    assert config == SolverConfig(kind="tabu")
+
+
 def test_energy_gains_match_flip_differences():
     rng = generator(2024)
     checked = 0
