@@ -35,6 +35,8 @@ def _write(path: str, content: str) -> None:
 
 
 def _cmd_gen(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     os.makedirs(args.out, exist_ok=True)
     for index in range(args.count):
         seed = mix(args.seed, 1, index)

@@ -55,6 +55,9 @@ class ExperimentConfig:
         if self.solver.seed != 0:
             raise ValueError("solver seed must be left at 0: every run seed derives from "
                              "the experiment seed")
+        if self.solver.time_limit_ms is not None:
+            raise ValueError("experiments do not take time_limit_ms: a wall-clock budget "
+                             "breaks byte-reproducibility of the records; set a fixed budget")
         object.__setattr__(self, "transforms", tuple(self.transforms))
 
     @classmethod

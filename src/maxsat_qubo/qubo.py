@@ -95,22 +95,23 @@ class CompiledQubo(NamedTuple):
     weight: np.ndarray
     degree: np.ndarray
 
-    def fields(self, rows: np.ndarray) -> np.ndarray:
-        """Local field diag_i + sum_j c_ij x_j of every bit in each row of a (k, dim) matrix.
+    def gains(self, rows: np.ndarray) -> np.ndarray:
+        """Energy change from flipping each bit in each row of a (k, dim) matrix.
 
-        Flipping bit i changes the energy by (1 - 2 x_i) times its field.
+        That is (1 - 2 x_i) times bit i's local field diag_i + sum_j c_ij x_j.
         """
         fields = np.repeat(self.diag[None, :], len(rows), axis=0)
         for s in range(self.idx.shape[1]):
             fields += rows[:, self.idx[:, s]] * self.weight[:, s]
-        return fields
+        return (1 - 2 * rows) * fields
 
-    def energies(self, rows: np.ndarray, fields: np.ndarray | None = None) -> np.ndarray:
-        """Energy of each row; pass the rows' fields when they are already at hand."""
-        if fields is None:
-            fields = self.fields(rows)
-        # sum_i x_i (diag_i + field_i) counts the diagonal and every coupling twice
-        return (rows * (self.diag + fields)).sum(axis=1) // 2
+    def energies(self, rows: np.ndarray, gains: np.ndarray | None = None) -> np.ndarray:
+        """Energy of each row; pass the rows' flip gains when they are already at hand."""
+        if gains is None:
+            gains = self.gains(rows)
+        # a set bit's gain is minus its field, and sum_i x_i (diag_i + field_i) counts
+        # the diagonal and every coupling twice
+        return (rows * (self.diag - gains)).sum(axis=1) // 2
 
 
 @dataclass(frozen=True)
@@ -176,8 +177,9 @@ def _min_aux_energies(compiled: CompiledQubo, rows: np.ndarray) -> np.ndarray:
     n = rows.shape[1]
     full = np.zeros((len(rows), len(compiled.diag)), dtype=np.int64)
     full[:, :n] = rows
-    fields = compiled.fields(full)
-    return compiled.energies(full, fields) + np.minimum(fields[:, n:], 0).sum(axis=1)
+    gains = compiled.gains(full)
+    # the aux bits are 0 here, so their gains are their fields
+    return compiled.energies(full, gains) + np.minimum(gains[:, n:], 0).sum(axis=1)
 
 
 def energy_min_aux_many(q: QuboMatrix, layout: VariableLayout, bits_rows: np.ndarray) -> np.ndarray:

@@ -92,51 +92,58 @@ def energy_gains(q: QuboMatrix, bits: Sequence[int]) -> np.ndarray:
     """Exact energy change from flipping each single bit of the vector."""
     if len(bits) != q.dim:
         raise ValueError(f"bit vector length {len(bits)} != dim {q.dim}")
-    x = np.asarray([[int(b) for b in bits]], dtype=np.int64)
-    return (1 - 2 * x[0]) * q.diag_coupling().fields(x)[0]
+    return q.diag_coupling().gains(np.asarray([[int(b) for b in bits]], dtype=np.int64))[0]
 
 
 def _initial_states(q: QuboMatrix, seeds: Sequence[int]):
-    """Seeded random rows with their fields G and energies E, and the compiled matrix."""
+    """Seeded random rows with their flip gains D and energies E, and the compiled matrix."""
     compiled = q.diag_coupling()
     gens = [generator(s) for s in seeds]
     X = np.stack([g.integers(0, 2, size=q.dim, dtype=np.int64) for g in gens])
-    G = compiled.fields(X)
-    return gens, X, G, compiled.energies(X, G), compiled
+    D = compiled.gains(X)
+    return gens, X, D, compiled.energies(X, D), compiled
 
 
-def _batch_tabu(q: QuboMatrix, seeds: Sequence[int], iteration_limit: int | None,
-                tenure: int, time_limit_ms: int | None):
+def _batch_tabu(q: QuboMatrix, seeds: Sequence[int], config: SolverConfig):
     """Lockstep best-improvement tabu search over one row per seed.
 
-    Each iteration flips a row's best non-tabu bit by cached energy delta;
-    a tabu bit may still flip if it strictly improves the row's incumbent
-    best (aspiration). Rows where every bit is tabu and nothing aspirates
-    ignore the tabu list for that iteration.
+    Each iteration flips a row's best non-tabu bit, lowest index on ties; a tabu bit may
+    still flip if it strictly improves the row's incumbent best (aspiration), and a row
+    whose every bit is tabu ignores the list. The flip gains D = (1 - 2X)·G are carried,
+    not rebuilt: a flip negates its bit's gain and updates its neighbours', O(k·width)
+    per iteration. SA keeps the fields G instead (see _batch_sa).
     """
-    start = time.perf_counter()
-    k = len(seeds)
-    _, X, G, E, compiled = _initial_states(q, seeds)
-    best_energy = E.copy()
-    best_bits = X.copy()
-    tabu_until = np.zeros((k, q.dim), dtype=np.int64)
-    rows = np.arange(k)
+    start, time_limit_ms = time.perf_counter(), config.time_limit_ms
+    iteration_limit = config.iteration_limit
+    if iteration_limit is None and time_limit_ms is None:
+        iteration_limit = 10_000 * q.dim
+    tenure = config.tabu_tenure or max(10, q.dim // 10)
+    _, X, D, E, compiled = _initial_states(q, seeds)
+    best_energy, best_bits, tabu_until = E.copy(), X.copy(), np.zeros_like(X)
+    # flat views: one flat index per cell is cheaper than a (row, column) pair
+    flat_X, flat_D, flat_tabu = X.reshape(-1), D.reshape(-1), tabu_until.reshape(-1)
+    rows = np.arange(len(seeds))
+    row_start = rows * q.dim
     iteration = 0
     while iteration_limit is None or iteration < iteration_limit:
         if time_limit_ms is not None and (time.perf_counter() - start) * 1000 >= time_limit_ms:
             break
-        delta = np.where(X == 1, -G, G)
-        allowed = (tabu_until <= iteration) | (E[:, None] + delta < best_energy[:, None])
-        stuck = ~allowed.any(axis=1)
-        if stuck.any():
-            allowed[stuck] = True
-        flip = np.where(allowed, delta, _BIG).argmin(axis=1)
-        chosen_delta = delta[rows, flip]
-        sign = 1 - 2 * X[rows, flip]
-        X[rows, flip] = 1 - X[rows, flip]
-        G[rows[:, None], compiled.idx[flip]] += sign[:, None] * compiled.weight[flip]
-        E += chosen_delta
-        tabu_until[rows, flip] = iteration + 1 + tenure
+        # |D| < 2^62 = _BIG under CompiledQubo's bound, so only tabu slots read _BIG. If a bit
+        # aspirates, so do all bits at the row's least gain: best_any is the best allowed bit.
+        best_any = D.argmin(axis=1)
+        free = np.where(tabu_until <= iteration, D, _BIG)
+        best_free = free.argmin(axis=1)
+        stuck = free[rows, best_free] == _BIG
+        flip = np.where((D[rows, best_any] < best_energy - E) | stuck, best_any, best_free)
+        cells = row_start + flip
+        gain, sign = flat_D[cells], 1 - 2 * flat_X[cells]
+        flat_X[cells] += sign
+        flat_D[cells] = -gain
+        # neighbour j's gain moves by (1 - 2x_j)·sign·w_ij; padding (own bit, weight 0) adds 0
+        nbrs = row_start[:, None] + compiled.idx[flip]
+        flat_D[nbrs] += (1 - 2 * flat_X[nbrs]) * sign[:, None] * compiled.weight[flip]
+        E += gain
+        flat_tabu[cells] = iteration + 1 + tenure
         improved = E < best_energy
         if improved.any():
             best_energy[improved] = E[improved]
@@ -145,25 +152,24 @@ def _batch_tabu(q: QuboMatrix, seeds: Sequence[int], iteration_limit: int | None
     return best_energy, best_bits
 
 
-def _batch_sa(q: QuboMatrix, seeds: Sequence[int], sweeps: int,
-              beta_start: float, beta_end: float, time_limit_ms: int | None):
+def _batch_sa(q: QuboMatrix, seeds: Sequence[int], config: SolverConfig):
     """Lockstep single-flip Metropolis annealing on a geometric beta schedule."""
-    start = time.perf_counter()
-    gens, X, G, E, compiled = _initial_states(q, seeds)
-    best_energy = E.copy()
-    best_bits = X.copy()
+    start, time_limit_ms, sweeps = time.perf_counter(), config.time_limit_ms, config.sa_sweeps
+    gens, X, D, E, compiled = _initial_states(q, seeds)
+    best_energy, best_bits, G = E.copy(), X.copy(), (1 - 2 * X) * D
     if sweeps > 0:
         # unpadded neighbour slices: padded rows cost more per site update
         neighbors = [(compiled.idx[i, :d], compiled.weight[i, :d][None, :])
                      for i, d in enumerate(compiled.degree)]
         exponents = np.arange(sweeps) / max(1, sweeps - 1)
-        betas = beta_start * (beta_end / beta_start) ** exponents
+        betas = config.sa_beta_start * (config.sa_beta_end / config.sa_beta_start) ** exponents
         for sweep in range(sweeps):
             if time_limit_ms is not None and (time.perf_counter() - start) * 1000 >= time_limit_ms:
                 break
             uniforms = np.stack([g.random(q.dim) for g in gens])
             beta = betas[sweep]
             for i in range(q.dim):
+                # fields, not carried gains: those cost an X gather per update (measured slower)
                 delta = np.where(X[:, i] == 1, -G[:, i], G[:, i])
                 accept = delta <= 0
                 uphill = ~accept
@@ -211,16 +217,8 @@ def _run(q: QuboMatrix, config: SolverConfig, seeds: Sequence[int]) -> list[Solv
         X = np.stack([generator(s).integers(0, 2, size=q.dim, dtype=np.int64) for s in seeds])
         return _results_from_batch(q, seeds, X)
 
-    if config.kind == "tabu":
-        iteration_limit = config.iteration_limit
-        if iteration_limit is None and config.time_limit_ms is None:
-            iteration_limit = 10_000 * q.dim
-        tenure = config.tabu_tenure or max(10, q.dim // 10)
-        best_energy, best_bits = _batch_tabu(q, seeds, iteration_limit, tenure,
-                                             config.time_limit_ms)
-    else:
-        best_energy, best_bits = _batch_sa(q, seeds, config.sa_sweeps, config.sa_beta_start,
-                                           config.sa_beta_end, config.time_limit_ms)
+    sampler = _batch_tabu if config.kind == "tabu" else _batch_sa
+    best_energy, best_bits = sampler(q, seeds, config)
     return _results_from_batch(q, seeds, best_bits, best_energy)
 
 

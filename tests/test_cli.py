@@ -42,6 +42,17 @@ def test_gen_validation_error(tmp_path):
                  "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("count", ["-2", "0"])
+def test_gen_rejects_count_below_one(tmp_path, capsys, count):
+    out = tmp_path / "g"
+    assert main(["gen", "--vars", "5", "--clauses", "8", "--count", count,
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --count must be >= 1")
+    assert "wrote" not in captured.out
+    assert not out.exists()
+
+
 def test_transform_prune_solve_pipeline(tmp_path, cnf_file):
     qubo_path = str(tmp_path / "f.qubo")
     assert main(["transform", "--method", "nuesslein", "--in", cnf_file,
@@ -198,6 +209,7 @@ def test_experiment_rejects_bad_config(tmp_path):
     {"count": "2"},
     {"transforms": "nuesslein"},
     {"transforms": [1]},
+    {"solver": {"kind": "tabu", "iteration_limit": 5, "time_limit_ms": 40}},
 ])
 def test_experiment_rejects_wrongly_typed_or_ignored_values(tmp_path, capsys, change):
     config = {"kind": "comparison", "count": 1, "num_vars": 6, "num_clauses": 10, "seed": 3,

@@ -10,7 +10,7 @@ from maxsat_qubo.formula import Clause, CnfFormula, Literal, parse_dimacs, write
 from maxsat_qubo.pattern_search import search_3x3
 from maxsat_qubo.qubo import (EXACT_INT64_BOUND, QuboMatrix, VariableLayout, energy,
                               energy_many, parse_qubo, write_qubo)
-from maxsat_qubo.rng import mix
+from maxsat_qubo.rng import generator, mix
 from maxsat_qubo.solvers import (SolverConfig, energy_gains, simulated_annealing, solve,
                                  tabu_search)
 from maxsat_qubo.transform import (APPROX_6_OF_7, BUILTIN_SPEC_NAMES, EXACT_ALL_7, TRIPLES,
@@ -191,6 +191,43 @@ def test_batch_rows_equal_single_runs(kind, data):
     batch = solve(q, config)
     assert [(r.bits, r.energy, r.seed_used) for r in batch] == \
         [(r.bits, r.energy, r.seed_used) for r in singles]
+
+
+def _reference_tabu(q, seed, iterations, tenure):
+    """The documented tabu rule, one row at a time: every flip difference recomputed with
+    the exact energy, the lowest-index best non-tabu bit taken, a tabu bit allowed when it
+    strictly improves the incumbent, and the tabu list ignored when every bit is tabu."""
+    bits = generator(seed).integers(0, 2, size=q.dim, dtype=np.int64).tolist()
+    current = energy(q, bits)
+    best, best_bits = current, tuple(bits)
+    tabu_until = [0] * q.dim
+    for iteration in range(iterations):
+        diffs = [energy(q, bits[:i] + [1 - bits[i]] + bits[i + 1:]) - current
+                 for i in range(q.dim)]
+        allowed = [i for i in range(q.dim)
+                   if tabu_until[i] <= iteration or current + diffs[i] < best]
+        flip = min(allowed or range(q.dim), key=lambda i: (diffs[i], i))
+        bits[flip] = 1 - bits[flip]
+        current += diffs[flip]
+        tabu_until[flip] = iteration + 1 + tenure
+        if current < best:
+            best, best_bits = current, tuple(bits)
+    return best_bits, best
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_tabu_matches_reference_rule(shape, data):
+    q, _ = data.draw(matrices(shape))
+    seed = data.draw(st.integers(0, 2 ** 64 - 1))
+    samples, iterations = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 40))
+    # a tenure of at least dim leaves every bit tabu once dim bits have flipped
+    tenure = data.draw(st.one_of(st.integers(1, 3), st.integers(q.dim, q.dim + 3)))
+    config = SolverConfig(kind="tabu", samples=samples, seed=seed, iteration_limit=iterations,
+                          tabu_tenure=tenure)
+    assert [(r.bits, r.energy) for r in solve(q, config)] == \
+        [_reference_tabu(q, mix(seed, r), iterations, tenure) for r in range(samples)]
 
 
 @pytest.mark.parametrize("run, message", [
