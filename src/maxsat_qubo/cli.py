@@ -8,10 +8,8 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import harness, pattern_search, qubo, solvers, transform
-from .formula import count_satisfied_many, generate_balanced, parse_dimacs, write_dimacs
+from .formula import generate_balanced, parse_dimacs, write_dimacs
 from .rng import mix
 from .transform import APPROX_6_OF_7, EXACT_ALL_7
 
@@ -29,20 +27,15 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: str, content: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(content)
-
-
 def _cmd_gen(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
+    seeds = [mix(args.seed, 1, index) for index in range(args.count)]
+    texts = [write_dimacs(generate_balanced(args.vars, args.clauses, seed),
+                          comments=[f"seed={seed} generator=balanced"]) for seed in seeds]
     os.makedirs(args.out, exist_ok=True)
-    for index in range(args.count):
-        seed = mix(args.seed, 1, index)
-        formula = generate_balanced(args.vars, args.clauses, seed)
-        text = write_dimacs(formula, comments=[f"seed={seed} generator=balanced"])
-        _write(os.path.join(args.out, f"formula_{index:03d}.cnf"), text)
+    for index, text in enumerate(texts):
+        harness.write_text(os.path.join(args.out, f"formula_{index:03d}.cnf"), text)
     print(f"wrote {args.count} formulas to {args.out}")
     return 0
 
@@ -52,7 +45,7 @@ def _cmd_transform(args) -> int:
     spec = transform.builtin_spec(args.method)
     matrix, layout = transform.assemble(formula, spec)
     comments = [f"transform={args.method} vars={formula.num_vars} clauses={formula.num_clauses}"]
-    _write(args.out, qubo.write_qubo(matrix, layout, comments=comments))
+    harness.write_text(args.out, qubo.write_qubo(matrix, layout, comments=comments))
     print(f"wrote dim-{matrix.dim} QUBO with {len(matrix.entries)} entries to {args.out}")
     return 0
 
@@ -63,7 +56,7 @@ def _cmd_prune(args) -> int:
     stage = stages[args.stage]
     comments = [f"pruned strategy={args.strategy} stage={args.stage} "
                 f"removed={stage.removed_cumulative}"]
-    _write(args.out, qubo.write_qubo(stage.matrix, layout, comments=comments))
+    harness.write_text(args.out, qubo.write_qubo(stage.matrix, layout, comments=comments))
     print(f"stage {args.stage}: removed {stage.removed_cumulative} of "
           f"{qubo.nnz_offdiag(matrix)} off-diagonal entries; wrote {args.out}")
     return 0
@@ -100,11 +93,9 @@ def _cmd_solve(args) -> int:
              "energy": result.energy,
              "seed": result.seed_used} for result in results]
     if formula is not None:
-        bits = np.asarray([result.bits for result in results], dtype=np.int64)
-        satisfied = count_satisfied_many(formula, bits[:, :formula.num_vars])
-        for row, count in zip(rows, satisfied.tolist()):
+        for row, count in zip(rows, solvers.satisfied_counts(formula, results).tolist()):
             row["satisfied"] = count
-    _write(args.out, "".join(json.dumps(row) + "\n" for row in rows))
+    harness.write_text(args.out, "".join(json.dumps(row) + "\n" for row in rows))
     best = min(result.energy for result in results)
     print(f"{len(results)} samples in {wall_ms} ms, best energy {best}; wrote {args.out}")
     return 0
@@ -123,8 +114,8 @@ def _cmd_search(args) -> int:
     files = []
     for index, pattern in enumerate(patterns):
         filename = f"type{args.type}_{index:03d}.pattern"
-        _write(os.path.join(args.out, filename),
-               transform.write_pattern(pattern, args.type))
+        harness.write_text(os.path.join(args.out, filename),
+                           transform.write_pattern(pattern, args.type))
         files.append(filename)
     manifest = {
         "dim": args.dim, "clause_type": args.type, "criterion": criterion,
@@ -134,8 +125,8 @@ def _cmd_search(args) -> int:
             and tuple(values) == pattern_search.CANONICAL_VALUES):
         manifest["expected_count"] = pattern_search.CANONICAL_PATTERNS_PER_TYPE
         manifest["discrepancy"] = len(patterns) != pattern_search.CANONICAL_PATTERNS_PER_TYPE
-    _write(os.path.join(args.out, "search_manifest.json"),
-           json.dumps(manifest, indent=2) + "\n")
+    harness.write_text(os.path.join(args.out, "search_manifest.json"),
+                       json.dumps(manifest, indent=2) + "\n")
     print(f"found {len(patterns)} patterns; wrote {args.out}")
     return 0
 
@@ -153,10 +144,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = harness.ExperimentConfig.from_dict(json.loads(_read(args.config)))
-    os.makedirs(args.out, exist_ok=True)
     started = time.perf_counter()
     records, summary = harness.run_experiment(config)
     wall_ms = int(round((time.perf_counter() - started) * 1000))
+    os.makedirs(args.out, exist_ok=True)
     stamp = harness.make_timestamp()
     records_path, summary_path = harness.emit(records, summary, args.out,
                                               config.kind, timestamp=stamp)

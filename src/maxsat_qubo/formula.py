@@ -10,7 +10,7 @@ import numpy as np
 
 from .rng import generator, mix
 
-MAX_BRUTE_FORCE_VARS = 25
+MAX_ENUMERATION_BITS = 25
 _CHUNK = 1 << 16
 
 
@@ -99,8 +99,6 @@ def clause_of(*lits: int) -> Clause:
 
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF text into a formula of 3-literal clauses."""
-    if hasattr(text, "read"):
-        text = text.read()
     num_vars = num_clauses = None
     tokens: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -286,8 +284,10 @@ def enumerate_min(num_bits: int, values_of) -> tuple[int, tuple[int, ...]]:
 
     values_of maps a (k, num_bits) int64 block of consecutive assignments
     (see assignment_bits) to their k values. The witness is the lowest-value
-    assignment attaining the minimum.
+    assignment attaining the minimum. More than MAX_ENUMERATION_BITS bits raise ValueError.
     """
+    if num_bits > MAX_ENUMERATION_BITS:
+        raise ValueError(f"enumeration limited to {MAX_ENUMERATION_BITS} bits, got {num_bits}")
     best_value = best_index = None
     total = 1 << num_bits
     for start in range(0, total, _CHUNK):
@@ -306,8 +306,6 @@ def brute_force_maxsat(formula: CnfFormula) -> tuple[int, tuple[int, ...]]:
     Assignments are ordered by their binary value with variable 1 as the
     least-significant bit.
     """
-    n = formula.num_vars
-    if n > MAX_BRUTE_FORCE_VARS:
-        raise ValueError(f"brute force limited to {MAX_BRUTE_FORCE_VARS} variables, got {n}")
-    best, witness = enumerate_min(n, lambda rows: -count_satisfied_many(formula, rows))
+    best, witness = enumerate_min(formula.num_vars,
+                                  lambda rows: -count_satisfied_many(formula, rows))
     return -best, witness

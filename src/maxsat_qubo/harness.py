@@ -17,10 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .formula import CnfFormula, count_satisfied_many, generate_balanced
+from .formula import CnfFormula, generate_balanced
 from .qubo import pruning_schedule
 from .rng import mix
-from .solvers import SolverConfig, random_baseline, require_integers, solve
+from .solvers import SolverConfig, random_baseline, require_integers, satisfied_counts, solve
 from .transform import assemble, builtin_spec
 
 EXPERIMENT_KINDS = ("pruning_sweep", "comparison", "scaling")
@@ -69,9 +69,13 @@ class ExperimentConfig:
         if not isinstance(solver_data, dict):
             raise ValueError("config needs a 'solver' object")
         try:
-            return cls(solver=SolverConfig(**solver_data), **data)
+            config = cls(solver=SolverConfig(**solver_data), **data)
         except TypeError as exc:
             raise ValueError(f"bad experiment config: {exc}") from None
+        # a repeated name would merge two methods' records into one summary row
+        if len(set(config.transforms)) != len(config.transforms):
+            raise ValueError(f"transforms repeat a name: {list(config.transforms)}")
+        return config
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -110,11 +114,10 @@ def _formula_for(config: ExperimentConfig, formula_id: int) -> CnfFormula:
                              mix(config.seed, 1, formula_id))
 
 
-def _solve_records(formula, matrix, layout, config: SolverConfig, seed: int,
+def _solve_records(formula, matrix, config: SolverConfig, seed: int,
                    formula_id: int, method: str) -> list[RunRecord]:
     results = solve(matrix, replace(config, seed=seed))
-    bits = np.asarray([r.bits for r in results], dtype=np.int64)
-    satisfied = count_satisfied_many(formula, bits[:, :layout.num_problem_vars])
+    satisfied = satisfied_counts(formula, results)
     return [
         RunRecord(formula_id=formula_id, method=method, sample=r.run_index,
                   satisfied=int(satisfied[r.run_index]), energy=r.energy,
@@ -140,14 +143,14 @@ def run_pruning_sweep(config: ExperimentConfig) -> tuple[list[RunRecord], list[S
     for formula_id in range(config.count):
         formula = _formula_for(config, formula_id)
         for ti, (name, spec) in enumerate(zip(config.transforms, specs)):
-            matrix, layout = assemble(formula, spec)
+            matrix, _ = assemble(formula, spec)
             for strategy in ("min", "random"):
                 stages = pruning_schedule(matrix, strategy, mix(config.seed, 2, formula_id, ti))
                 for stage in stages:
                     method = f"{name}:{strategy}:{stage.stage * 10}"
                     seed = mix(config.seed, 3, formula_id, ti, stage.stage)
-                    records.extend(_solve_records(formula, stage.matrix, layout,
-                                                  config.solver, seed, formula_id, method))
+                    records.extend(_solve_records(formula, stage.matrix, config.solver,
+                                                  seed, formula_id, method))
     return records, summarize_pruning(records)
 
 
@@ -166,10 +169,10 @@ def _comparison_records(config: ExperimentConfig) -> list[RunRecord]:
     for formula_id in range(config.count):
         formula = _formula_for(config, formula_id)
         for mi, name in enumerate(config.transforms):
-            matrix, layout = assemble(formula, builtin_spec(name))
+            matrix, _ = assemble(formula, builtin_spec(name))
             seed = mix(config.seed, 3, formula_id, mi)
-            records.extend(_solve_records(formula, matrix, layout, config.solver,
-                                          seed, formula_id, name))
+            records.extend(_solve_records(formula, matrix, config.solver, seed,
+                                          formula_id, name))
         baseline_seed = mix(config.seed, 4, formula_id)
         for sample, (_, satisfied) in enumerate(
                 random_baseline(formula, config.solver.samples, baseline_seed)):
@@ -321,19 +324,23 @@ def parse_summary(text: str) -> list[SummaryRow]:
     return rows
 
 
+def write_text(path: str, content: str) -> None:
+    """Write a UTF-8 file as is (no newline translation); OSError names the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(content)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
+
+
 def emit(records: Sequence[RunRecord], summary: Sequence[SummaryRow], directory: str,
          experiment: str, timestamp: str | None = None) -> tuple[str, str]:
     """Write records as JSONL and the summary as CSV; returns the two paths."""
     stamp = timestamp or make_timestamp()
     records_path = os.path.join(directory, f"{experiment}_{stamp}_records.jsonl")
     summary_path = os.path.join(directory, f"{experiment}_{stamp}_summary.csv")
-    for path, content in ((records_path, records_to_jsonl(records)),
-                          (summary_path, summary_to_csv(summary))):
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(content)
-        except OSError as exc:
-            raise OSError(f"cannot write {path}: {exc}") from exc
+    write_text(records_path, records_to_jsonl(records))
+    write_text(summary_path, summary_to_csv(summary))
     return records_path, summary_path
 
 
@@ -342,10 +349,5 @@ def emit_meta(directory: str, experiment: str, payload: dict,
     """Write run metadata (config echo, timing, notes) alongside emitted results."""
     stamp = timestamp or make_timestamp()
     path = os.path.join(directory, f"{experiment}_{stamp}_meta.json")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path

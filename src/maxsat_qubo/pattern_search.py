@@ -8,10 +8,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .formula import CnfFormula, count_satisfied_many
+from .formula import CnfFormula
 from .qubo import EXACT_INT64_BOUND
 from .rng import mix
-from .solvers import solve
+from .solvers import satisfied_counts, solve
 from .transform import (APPROX_6_OF_7, EXACT_ALL_7, SLOT_ORDERS, ClausePattern,
                         TransformSpec, assemble, coverage_check, meets_criterion,
                         triple_energies)
@@ -113,18 +113,18 @@ def select_best_combination(formula: CnfFormula, specs: Sequence[TransformSpec],
                             solver_config, seed: int) -> tuple[TransformSpec, list[int]]:
     """Score each spec by solving its assembly of the calibration formula.
 
-    Spec i runs with seed mix(seed, i); the score is the best decoded
-    satisfied-clause count over the configured samples. Ties go to the lowest
-    spec index.
+    Spec i runs with seed mix(seed, i), so a nonzero solver_config.seed is
+    rejected; the score is the best decoded satisfied-clause count over the
+    configured samples. Ties go to the lowest spec index.
     """
     if not specs:
         raise ValueError("no specs to choose from")
+    if solver_config.seed != 0:
+        raise ValueError("solver seed must be left at 0: spec i runs with mix(seed, i)")
     scores: list[int] = []
     for index, spec in enumerate(specs):
-        matrix, layout = assemble(formula, spec)
-        config = replace(solver_config, seed=mix(seed, index))
-        bits = np.asarray([r.bits for r in solve(matrix, config)], dtype=np.int64)
-        scores.append(int(count_satisfied_many(formula, bits[:, :layout.num_problem_vars]).max()))
+        results = solve(assemble(formula, spec)[0], replace(solver_config, seed=mix(seed, index)))
+        scores.append(int(satisfied_counts(formula, results).max()))
     best_index = max(range(len(specs)), key=lambda i: (scores[i], -i))
     return specs[best_index], scores
 

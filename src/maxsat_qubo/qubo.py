@@ -11,7 +11,6 @@ import numpy as np
 from .formula import enumerate_min
 from .rng import generator
 
-MAX_BRUTE_FORCE_DIM = 25
 # int64 energies and flip deltas stay exact while sum |c| < 2^62
 EXACT_INT64_BOUND = 1 << 62
 
@@ -212,17 +211,12 @@ def minimize_with_aux(q: QuboMatrix, layout: VariableLayout) -> tuple[int, tuple
     Witness ties break toward the lowest binary value (variable 1 least
     significant).
     """
-    n = layout.num_problem_vars
-    if n > MAX_BRUTE_FORCE_DIM:
-        raise ValueError(f"enumeration limited to {MAX_BRUTE_FORCE_DIM} problem variables, got {n}")
     compiled = _compile_for_layout(q, layout)
-    return enumerate_min(n, lambda rows: _min_aux_energies(compiled, rows))
+    return enumerate_min(layout.num_problem_vars, lambda rows: _min_aux_energies(compiled, rows))
 
 
 def brute_force_min(q: QuboMatrix) -> tuple[int, tuple[int, ...]]:
     """Exact global minimum over all 2^dim bit vectors; lowest-value witness."""
-    if q.dim > MAX_BRUTE_FORCE_DIM:
-        raise ValueError(f"brute force limited to dim {MAX_BRUTE_FORCE_DIM}, got {q.dim}")
     return enumerate_min(q.dim, q.diag_coupling().energies)
 
 
@@ -294,17 +288,13 @@ def pruning_schedule(q: QuboMatrix, strategy: str, seed: int = 0) -> list[PruneS
 
 def write_qubo(q: QuboMatrix, layout: VariableLayout | None = None,
                comments: Sequence[str] = ()) -> str:
-    """Serialize a matrix (and optional aux layout) to the QUBO text format."""
-    lines = [f"c {comment}" for comment in comments]
+    """Serialize a matrix to the QUBO text format; a layout's aux bits become comments."""
     if layout is not None:
         if layout.dim != q.dim:
             raise ValueError(f"layout dim {layout.dim} != matrix dim {q.dim}")
-        for offset, owner in enumerate(layout.aux_owners):
-            lines.append(f"c aux {layout.num_problem_vars + offset} clause {owner}")
-    lines.append(f"p qubo {q.dim} {len(q.entries)}")
-    for (i, j) in sorted(q.entries):
-        lines.append(f"{i} {j} {q.entries[(i, j)]}")
-    return "\n".join(lines) + "\n"
+        comments = [*comments, *(f"aux {layout.num_problem_vars + offset} clause {owner}"
+                                 for offset, owner in enumerate(layout.aux_owners))]
+    return write_triplets("qubo", (q.dim,), q.entries, comments)
 
 
 def _line_ints(fields: list[str], lineno: int) -> tuple[int, ...]:
@@ -322,8 +312,6 @@ def read_triplets(text, kind: str, header_ints: int):
     are comments. Returns (header integers, entries, comments), where each
     comment is (line number, fields).
     """
-    if hasattr(text, "read"):
-        text = text.read()
     header = None
     entries: Entries = {}
     comments: list[tuple[int, list[str]]] = []
@@ -355,6 +343,16 @@ def read_triplets(text, kind: str, header_ints: int):
     if len(entries) != header[-1]:
         raise ValueError(f"header declares {header[-1]} entries but {len(entries)} were read")
     return header, entries, comments
+
+
+def write_triplets(kind: str, header: Sequence[int], entries: Entries,
+                   comments: Sequence[str] = ()) -> str:
+    """Write the format read_triplets reads: 'c' comment lines, then the header
+    'p <kind> <header integers> <entry count>', then 'i j coeff' lines in key order."""
+    lines = [f"c {comment}" for comment in comments]
+    lines.append(" ".join(["p", kind, *map(str, header), str(len(entries))]))
+    lines += [f"{i} {j} {entries[(i, j)]}" for (i, j) in sorted(entries)]
+    return "\n".join(lines) + "\n"
 
 
 def parse_qubo(text: str) -> tuple[QuboMatrix, VariableLayout | None]:

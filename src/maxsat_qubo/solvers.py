@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .formula import CnfFormula, count_satisfied_many
-from .qubo import MAX_BRUTE_FORCE_DIM, QuboMatrix, brute_force_min, energy_many
+from .qubo import QuboMatrix, brute_force_min, energy_many
 from .rng import generator, mix
 
 # the SolverConfig option fields each solver kind reads; the CLI and experiments defer to it
@@ -207,8 +207,6 @@ def _results_from_batch(q: QuboMatrix, seeds, best_bits, tracked_energy=None) ->
 def _run(q: QuboMatrix, config: SolverConfig, seeds: Sequence[int]) -> list[SolveResult]:
     """One run of the configured sampler per seed; config.samples and config.seed are not read."""
     if config.kind == "brute":
-        if q.dim > MAX_BRUTE_FORCE_DIM:
-            raise ValueError(f"brute solver limited to dim {MAX_BRUTE_FORCE_DIM}, got {q.dim}")
         best_value, witness = brute_force_min(q)
         return [SolveResult(bits=witness, energy=best_value, run_index=r, seed_used=seed)
                 for r, seed in enumerate(seeds)]
@@ -241,6 +239,12 @@ def simulated_annealing(q: QuboMatrix, sweeps: int, beta_start: float, beta_end:
 def solve(q: QuboMatrix, config: SolverConfig) -> list[SolveResult]:
     """Run the configured sampler; run r uses the derived seed mix(config.seed, r)."""
     return _run(q, config, [mix(config.seed, r) for r in range(config.samples)])
+
+
+def satisfied_counts(formula: CnfFormula, results: Sequence[SolveResult]) -> np.ndarray:
+    """Satisfied-clause count of each result, read from its first num_vars (problem) bits."""
+    bits = np.asarray([r.bits for r in results], dtype=np.int64)
+    return count_satisfied_many(formula, bits[:, :formula.num_vars])
 
 
 def random_baseline(formula: CnfFormula, k: int, seed: int) -> list[tuple[tuple[int, ...], int]]:

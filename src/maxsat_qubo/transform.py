@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .formula import CnfFormula, classify_clause
-from .qubo import EXACT_INT64_BOUND, QuboMatrix, VariableLayout, read_triplets
+from .qubo import EXACT_INT64_BOUND, QuboMatrix, VariableLayout, read_triplets, write_triplets
 
 EXACT_ALL_7 = "exact-all-7"
 APPROX_6_OF_7 = "approx-6-of-7"
@@ -265,13 +265,20 @@ def builtin_spec(name: str) -> TransformSpec:
     raise ValueError(f"unknown transformation {name!r}, expected one of {BUILTIN_SPEC_NAMES}")
 
 
-def _add_pattern(accumulated: dict, pattern: ClausePattern, slots: Sequence[int]) -> None:
-    for (i, j), value in pattern.coefficients.items():
-        a, b = slots[i], slots[j]
-        if a > b:
-            a, b = b, a
-        key = (a, b)
-        accumulated[key] = accumulated.get(key, 0) + value
+def _sum_patterns(formula: CnfFormula, dim: int, choose) -> QuboMatrix:
+    """Sum the pattern choose(clause_type, order) of each clause into a dim x dim matrix;
+    slots 0..2 are the clause's canonical variables, slot 3 clause l's aux bit n + l."""
+    accumulated: dict[tuple[int, int], int] = {}
+    for ci, clause in enumerate(formula.clauses):
+        clause_type, order = classify_clause(clause)
+        slots = [v - 1 for v in order] + [formula.num_vars + ci]
+        for (i, j), value in choose(clause_type, order).coefficients.items():
+            a, b = slots[i], slots[j]
+            if a > b:  # measured faster than min/max in this hot loop
+                a, b = b, a
+            key = (a, b)
+            accumulated[key] = accumulated.get(key, 0) + value
+    return QuboMatrix.from_accumulated(dim, accumulated)
 
 
 def assemble(formula: CnfFormula, spec: TransformSpec) -> tuple[QuboMatrix, VariableLayout]:
@@ -281,18 +288,10 @@ def assemble(formula: CnfFormula, spec: TransformSpec) -> tuple[QuboMatrix, Vari
     with auxiliary slots bind clause l's aux to index n + l. Coefficients
     that cancel to zero are not stored.
     """
-    n = formula.num_vars
-    m = formula.num_clauses
-    dim = n + m if spec.uses_aux else n
-    accumulated: dict[tuple[int, int], int] = {}
-    for ci, clause in enumerate(formula.clauses):
-        clause_type, order = classify_clause(clause)
-        slots = [v - 1 for v in order]
-        if spec.uses_aux:
-            slots.append(n + ci)
-        _add_pattern(accumulated, spec.patterns[clause_type], slots)
-    layout = VariableLayout(n, tuple(range(m)) if spec.uses_aux else ())
-    return QuboMatrix.from_accumulated(dim, accumulated), layout
+    n, m = formula.num_vars, formula.num_clauses
+    matrix = _sum_patterns(formula, n + m if spec.uses_aux else n,
+                           lambda clause_type, order: spec.patterns[clause_type])
+    return matrix, VariableLayout(n, tuple(range(m)) if spec.uses_aux else ())
 
 
 def approximate_with_hint(formula: CnfFormula, hint: Sequence[int],
@@ -322,14 +321,11 @@ def approximate_with_hint(formula: CnfFormula, hint: Sequence[int],
                 f"clause type {clause_type} patterns do not cover satisfying triples {missing}"
             )
 
-    accumulated: dict[tuple[int, int], int] = {}
-    for clause in formula.clauses:
-        clause_type, order = classify_clause(clause)
-        slots = [v - 1 for v in order]
+    def choose(clause_type, order):
         triple = tuple(int(hint[v - 1]) for v in order)
-        choice = choices[clause_type].get(triple, 0)
-        _add_pattern(accumulated, approx_sets[clause_type][choice], slots)
-    return QuboMatrix.from_accumulated(formula.num_vars, accumulated)
+        return approx_sets[clause_type][choices[clause_type].get(triple, 0)]
+
+    return _sum_patterns(formula, formula.num_vars, choose)
 
 
 def decode(bits: Sequence[int], layout: VariableLayout) -> tuple[int, ...]:
@@ -343,11 +339,7 @@ def write_pattern(pattern: ClausePattern, clause_type: int, comments: Sequence[s
     """Serialize a pattern to the pattern text format."""
     if clause_type not in (0, 1, 2, 3):
         raise ValueError(f"clause type must be 0..3, got {clause_type}")
-    lines = [f"c {comment}" for comment in comments]
-    lines.append(f"p pattern {pattern.dim} {clause_type} {len(pattern.coefficients)}")
-    for (i, j) in sorted(pattern.coefficients):
-        lines.append(f"{i} {j} {pattern.coefficients[(i, j)]}")
-    return "\n".join(lines) + "\n"
+    return write_triplets("pattern", (pattern.dim, clause_type), pattern.coefficients, comments)
 
 
 def parse_pattern(text: str) -> tuple[ClausePattern, int]:

@@ -53,6 +53,28 @@ def test_gen_rejects_count_below_one(tmp_path, capsys, count):
     assert not out.exists()
 
 
+_EXPERIMENT = {"kind": "comparison", "count": 1, "num_vars": 6, "num_clauses": 10, "seed": 3,
+               "transforms": ["nuesslein"], "solver": {"kind": "tabu", "iteration_limit": 5}}
+
+
+@pytest.mark.parametrize("command, config", [
+    (["gen", "--vars", "2", "--clauses", "3"], None),
+    (["experiment"], {"transforms": ["bogus"]}),
+    (["experiment"], {"kind": "pruning_sweep", "transforms": ["fullapprox"]}),
+    (["experiment"], {"num_vars": 3, "num_clauses": 9}),
+], ids=["gen-too-few-vars", "unknown-transform", "pruning-3x3", "infeasible-generation"])
+def test_failed_command_leaves_no_output(tmp_path, capsys, command, config):
+    argv = list(command)
+    if config is not None:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**_EXPERIMENT, **config}), encoding="utf-8")
+        argv += ["--config", str(config_path)]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_transform_prune_solve_pipeline(tmp_path, cnf_file):
     qubo_path = str(tmp_path / "f.qubo")
     assert main(["transform", "--method", "nuesslein", "--in", cnf_file,
@@ -210,6 +232,7 @@ def test_experiment_rejects_bad_config(tmp_path):
     {"transforms": "nuesslein"},
     {"transforms": [1]},
     {"solver": {"kind": "tabu", "iteration_limit": 5, "time_limit_ms": 40}},
+    {"transforms": ["nuesslein", "nuesslein"]},
 ])
 def test_experiment_rejects_wrongly_typed_or_ignored_values(tmp_path, capsys, change):
     config = {"kind": "comparison", "count": 1, "num_vars": 6, "num_clauses": 10, "seed": 3,

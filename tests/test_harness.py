@@ -74,6 +74,11 @@ def test_config_validation():
                                     "num_clauses": 5, "seed": 0, "transforms": ["nuesslein"],
                                     "solver": {"kind": "tabu", "iteration_limit": 50,
                                                "time_limit_ms": 40}})
+    with pytest.raises(ValueError, match="transforms repeat a name"):
+        ExperimentConfig.from_dict({"kind": "comparison", "count": 1, "num_vars": 5,
+                                    "num_clauses": 5, "seed": 0,
+                                    "transforms": ["nuesslein", "nuesslein"],
+                                    "solver": {"kind": "sa"}})
 
 
 def test_config_roundtrip():

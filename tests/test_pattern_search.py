@@ -174,6 +174,16 @@ def test_score_combinations_indices_align():
     assert all(0 <= c.score <= 2 for c in choices)
 
 
+def test_calibration_rejects_a_solver_seed_it_would_override():
+    per_type = [search_3x3(CANONICAL_VALUES, t, APPROX_6_OF_7)[:1] for t in range(4)]
+    formula = CnfFormula(3, (clause_of(1, 2, 3),))
+    config = SolverConfig(kind="brute", samples=1, seed=987654)
+    with pytest.raises(ValueError, match="solver seed must be left at 0"):
+        select_best_combination(formula, enumerate_combinations(per_type), config, seed=1)
+    with pytest.raises(ValueError, match="solver seed must be left at 0"):
+        score_combinations(per_type, formula, config, seed=1)
+
+
 def test_approximation_census_canonical():
     census = approximation_census(CANONICAL_VALUES)
     assert census["counts"] == [4, 4, 4, 4]

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from maxsat_qubo.formula import brute_force_maxsat, count_satisfied
-from maxsat_qubo.qubo import QuboMatrix, brute_force_min, energy
+from maxsat_qubo.formula import CnfFormula, brute_force_maxsat, count_satisfied
+from maxsat_qubo.qubo import QuboMatrix, VariableLayout, brute_force_min, energy, minimize_with_aux
 from maxsat_qubo.rng import generator, mix
 from maxsat_qubo.solvers import (
     SolverConfig,
     _results_from_batch,
     energy_gains,
     random_baseline,
+    satisfied_counts,
     simulated_annealing,
     solve,
     tabu_search,
@@ -18,6 +19,29 @@ from maxsat_qubo.solvers import (
 from maxsat_qubo.transform import assemble, builtin_spec, decode
 
 from conftest import random_formula, random_qubo
+
+
+def test_every_exact_enumeration_stops_at_25_bits():
+    q = QuboMatrix(26, {(0, 0): 1})
+    message = "enumeration limited to 25 bits, got 26"
+    with pytest.raises(ValueError, match=message):
+        brute_force_maxsat(CnfFormula(26, ()))
+    with pytest.raises(ValueError, match=message):
+        minimize_with_aux(q, VariableLayout(26))
+    with pytest.raises(ValueError, match=message):
+        brute_force_min(q)
+    with pytest.raises(ValueError, match=message):
+        solve(q, SolverConfig(kind="brute"))
+
+
+def test_satisfied_counts_match_scalar_decoding():
+    formula = random_formula(9, 30, seed=4)
+    matrix, layout = assemble(formula, builtin_spec("nuesslein"))
+    assert layout.dim > formula.num_vars
+    results = solve(matrix, SolverConfig(kind="tabu", samples=6, iteration_limit=20))
+    counts = satisfied_counts(formula, results)
+    assert counts.tolist() == [count_satisfied(formula, decode(r.bits, layout))
+                               for r in results]
 
 
 def test_config_validation():
