@@ -9,8 +9,8 @@ as soon as 10% of the couplings are gone.
 import numpy as np
 
 from maxsat_qubo import SolverConfig, assemble, builtin_spec, generate_balanced, pruning_schedule, solve
-from maxsat_qubo.formula import count_satisfied_many
 from maxsat_qubo.rng import mix
+from maxsat_qubo.solvers import satisfied_counts
 
 NUM_FORMULAS = 4
 N, M = 40, 138
@@ -31,9 +31,7 @@ for name in ("nuesslein", "chancellor_repaired"):
             stages = pruning_schedule(matrix, strategy, mix(3, 2, f))
             for stage in stages:
                 config = SolverConfig(seed=mix(3, 4, f, stage.stage), **SOLVER)
-                results = solve(stage.matrix, config)
-                bits = np.asarray([r.bits for r in results])[:, :N]
-                means[stage.stage] += count_satisfied_many(formula, bits).max()
+                means[stage.stage] += satisfied_counts(formula, solve(stage.matrix, config)).max()
         means /= NUM_FORMULAS
         print(f"{strategy:8s} " + "  ".join(f"{v:4.0f}" for v in means))
     print()

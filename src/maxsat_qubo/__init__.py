@@ -45,11 +45,8 @@ from .transform import (
     write_pattern,
 )
 from .pattern_search import (
-    CombinationChoice,
-    ValueSet,
     coverage_check,
     enumerate_combinations,
-    score_combinations,
     search_3x3,
     search_4x4,
     select_best_combination,

@@ -52,6 +52,9 @@ class ExperimentConfig:
             raise ValueError("num_clauses must be >= 1")
         if not self.transforms:
             raise ValueError("transforms must name at least one transformation")
+        # a repeated name would merge two methods' records into one summary row
+        if len(set(self.transforms)) != len(self.transforms):
+            raise ValueError(f"transforms repeat a name: {list(self.transforms)}")
         if self.solver.seed != 0:
             raise ValueError("solver seed must be left at 0: every run seed derives from "
                              "the experiment seed")
@@ -69,13 +72,9 @@ class ExperimentConfig:
         if not isinstance(solver_data, dict):
             raise ValueError("config needs a 'solver' object")
         try:
-            config = cls(solver=SolverConfig(**solver_data), **data)
+            return cls(solver=SolverConfig(**solver_data), **data)
         except TypeError as exc:
             raise ValueError(f"bad experiment config: {exc}") from None
-        # a repeated name would merge two methods' records into one summary row
-        if len(set(config.transforms)) != len(config.transforms):
-            raise ValueError(f"transforms repeat a name: {list(config.transforms)}")
-        return config
 
     def to_dict(self) -> dict:
         data = asdict(self)

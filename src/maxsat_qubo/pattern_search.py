@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import product
 from typing import Sequence
 
@@ -24,33 +24,15 @@ _CHUNK = 1 << 18
 CANONICAL_VALUES = (-1, 0, 1)
 CANONICAL_PATTERNS_PER_TYPE = 4
 
-COEFF_ORDER_3X3 = SLOT_ORDERS[3]
-COEFF_ORDER_4X4 = SLOT_ORDERS[4]
-
-
-@dataclass(frozen=True)
-class ValueSet:
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        values = tuple(int(v) for v in self.values)
-        if not values:
-            raise ValueError("value set must be non-empty")
-        if len(set(values)) != len(values):
-            raise ValueError(f"value set has duplicates: {values}")
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class CombinationChoice:
-    indices: tuple[int, int, int, int]
-    score: int
-
 
 def _as_values(values) -> tuple[int, ...]:
-    if isinstance(values, ValueSet):
-        return values.values
-    return ValueSet(tuple(values)).values
+    """The search values as ints; they must be non-empty and distinct."""
+    values = tuple(int(v) for v in values)
+    if not values:
+        raise ValueError("value set must be non-empty")
+    if len(set(values)) != len(values):
+        raise ValueError(f"value set has duplicates: {values}")
+    return values
 
 
 def _search(values, dim: int, clause_type: int, criterion: str) -> list[ClausePattern]:
@@ -100,12 +82,10 @@ def enumerate_combinations(per_type: Sequence[Sequence[ClausePattern]]) -> list[
     dims = {p.dim for patterns in per_type for p in patterns}
     if len(dims) != 1:
         raise ValueError(f"pattern lists mix dimensions: {sorted(dims)}")
-    uses_aux = dims.pop() == 4
     specs = []
     for indices in product(*(range(len(patterns)) for patterns in per_type)):
         name = "combo-" + "-".join(str(i) for i in indices)
-        patterns = tuple(per_type[t][indices[t]] for t in range(4))
-        specs.append(TransformSpec(name, patterns, uses_aux))
+        specs.append(TransformSpec(name, tuple(per_type[t][indices[t]] for t in range(4))))
     return specs
 
 
@@ -127,16 +107,6 @@ def select_best_combination(formula: CnfFormula, specs: Sequence[TransformSpec],
         scores.append(int(satisfied_counts(formula, results).max()))
     best_index = max(range(len(specs)), key=lambda i: (scores[i], -i))
     return specs[best_index], scores
-
-
-def score_combinations(per_type: Sequence[Sequence[ClausePattern]], formula: CnfFormula,
-                       solver_config, seed: int) -> list[CombinationChoice]:
-    """Score every per-type combination; choices carry their pattern indices."""
-    specs = enumerate_combinations(per_type)
-    _, scores = select_best_combination(formula, specs, solver_config, seed)
-    index_tuples = product(*(range(len(patterns)) for patterns in per_type))
-    return [CombinationChoice(indices=indices, score=score)
-            for indices, score in zip(index_tuples, scores)]
 
 
 def approximation_census(values) -> dict:

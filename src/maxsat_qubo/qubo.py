@@ -225,21 +225,15 @@ def nnz_offdiag(q: QuboMatrix) -> int:
     return sum(1 for (i, j) in q.entries if i < j)
 
 
-def _offdiag_keys(q: QuboMatrix) -> list[tuple[int, int]]:
-    return sorted(key for key in q.entries if key[0] < key[1])
-
-
-def min_removal_order(q: QuboMatrix) -> list[tuple[int, int]]:
-    """Off-diagonal keys ordered smallest signed coefficient first, then by index."""
-    return sorted((key for key in q.entries if key[0] < key[1]),
-                  key=lambda key: (q.entries[key], key))
-
-
-def random_removal_order(q: QuboMatrix, seed: int) -> list[tuple[int, int]]:
-    """Off-diagonal keys in a seeded uniform order."""
-    keys = _offdiag_keys(q)
-    rng = generator(seed)
-    return [keys[i] for i in rng.permutation(len(keys))]
+def _removal_order(q: QuboMatrix, strategy: str, seed: int = 0) -> list[tuple[int, int]]:
+    """Off-diagonal keys in removal order: "min" takes the smallest signed coefficient
+    first, then the lowest index; "random" a seeded uniform order."""
+    keys = sorted(key for key in q.entries if key[0] < key[1])
+    if strategy == "min":
+        return sorted(keys, key=q.entries.__getitem__)  # stable: index order breaks ties
+    if strategy == "random":
+        return [keys[i] for i in generator(seed).permutation(len(keys))]
+    raise ValueError(f"unknown pruning strategy {strategy!r}")
 
 
 def _remove(q: QuboMatrix, keys) -> QuboMatrix:
@@ -249,20 +243,21 @@ def _remove(q: QuboMatrix, keys) -> QuboMatrix:
     return QuboMatrix(q.dim, entries)
 
 
+def _prune(q: QuboMatrix, strategy: str, count: int, seed: int = 0) -> QuboMatrix:
+    order = _removal_order(q, strategy, seed)
+    if not 0 <= count <= len(order):
+        raise ValueError(f"count {count} outside [0, {len(order)}]")
+    return _remove(q, order[:count])
+
+
 def prune_min(q: QuboMatrix, count: int) -> QuboMatrix:
     """Copy of q without its `count` smallest (signed) off-diagonal coefficients."""
-    total = nnz_offdiag(q)
-    if not 0 <= count <= total:
-        raise ValueError(f"count {count} outside [0, {total}]")
-    return _remove(q, min_removal_order(q)[:count])
+    return _prune(q, "min", count)
 
 
 def prune_random(q: QuboMatrix, count: int, seed: int) -> QuboMatrix:
     """Copy of q without `count` seeded-uniformly chosen off-diagonal coefficients."""
-    total = nnz_offdiag(q)
-    if not 0 <= count <= total:
-        raise ValueError(f"count {count} outside [0, {total}]")
-    return _remove(q, random_removal_order(q, seed)[:count])
+    return _prune(q, "random", count, seed)
 
 
 def pruning_schedule(q: QuboMatrix, strategy: str, seed: int = 0) -> list[PruneStage]:
@@ -271,12 +266,7 @@ def pruning_schedule(q: QuboMatrix, strategy: str, seed: int = 0) -> list[PruneS
     Cumulative removal targets are round(k * N / 10) with halves rounding up,
     so stage 10 always strips the off-diagonal completely.
     """
-    if strategy == "min":
-        order = min_removal_order(q)
-    elif strategy == "random":
-        order = random_removal_order(q, seed)
-    else:
-        raise ValueError(f"unknown pruning strategy {strategy!r}")
+    order = _removal_order(q, strategy, seed)
     initial = len(order)
     stages = []
     for k in range(11):
@@ -362,6 +352,8 @@ def parse_qubo(text: str) -> tuple[QuboMatrix, VariableLayout | None]:
     for lineno, fields in comments:
         if len(fields) == 5 and fields[1] == "aux" and fields[3] == "clause":
             index, owner = _line_ints(fields[2::2], lineno)
+            if index in aux:
+                raise ValueError(f"line {lineno}: repeated aux index {index}")
             aux[index] = owner
     matrix = QuboMatrix(dim, entries)
     if not aux:

@@ -171,13 +171,10 @@ def _batch_sa(q: QuboMatrix, seeds: Sequence[int], config: SolverConfig):
             for i in range(q.dim):
                 # fields, not carried gains: those cost an X gather per update (measured slower)
                 delta = np.where(X[:, i] == 1, -G[:, i], G[:, i])
-                accept = delta <= 0
-                uphill = ~accept
-                if uphill.any():
-                    accept[uphill] = uniforms[uphill, i] < np.exp(-beta * delta[uphill])
-                if not accept.any():
+                # uniforms lie in [0, 1) and a downhill move's threshold is exp(0) = 1
+                acc = np.flatnonzero(uniforms[:, i] < np.exp(-beta * np.maximum(delta, 0)))
+                if not acc.size:
                     continue
-                acc = np.nonzero(accept)[0]
                 sign = 1 - 2 * X[acc, i]
                 X[acc, i] = 1 - X[acc, i]
                 idx, weight = neighbors[i]

@@ -84,7 +84,6 @@ class TransformSpec:
 
     name: str
     patterns: tuple[ClausePattern, ClausePattern, ClausePattern, ClausePattern]
-    uses_aux: bool
 
     def __post_init__(self):
         patterns = tuple(self.patterns)
@@ -93,9 +92,11 @@ class TransformSpec:
         dims = {p.dim for p in patterns}
         if len(dims) != 1:
             raise ValueError(f"patterns mix dimensions: {sorted(dims)}")
-        if (dims.pop() == 4) != self.uses_aux:
-            raise ValueError("uses_aux flag contradicts pattern dimension")
         object.__setattr__(self, "patterns", patterns)
+
+    @property
+    def uses_aux(self) -> bool:
+        return self.patterns[0].uses_aux
 
 
 @dataclass(frozen=True)
@@ -249,20 +250,18 @@ def builtin_spec(name: str) -> TransformSpec:
     """
     if name == "chancellor_printed":
         patterns = tuple(ClausePattern(4, dict(c)) for c in _CHANCELLOR_PRINTED)
-        return TransformSpec(name, patterns, uses_aux=True)
-    if name == "chancellor_repaired":
+    elif name == "chancellor_repaired":
         base = ClausePattern(4, dict(_CHANCELLOR_PRINTED[0]))
         masks = ((False, False, False), (False, False, True),
                  (False, True, True), (True, True, True))
         patterns = tuple(negation_substitute(base, mask) for mask in masks)
-        return TransformSpec(name, patterns, uses_aux=True)
-    if name == "nuesslein":
+    elif name == "nuesslein":
         patterns = tuple(ClausePattern(4, dict(c)) for c in _NUESSLEIN)
-        return TransformSpec(name, patterns, uses_aux=True)
-    if name == "fullapprox":
+    elif name == "fullapprox":
         patterns = tuple(ClausePattern(3, dict(c)) for c in _FULLAPPROX)
-        return TransformSpec(name, patterns, uses_aux=False)
-    raise ValueError(f"unknown transformation {name!r}, expected one of {BUILTIN_SPEC_NAMES}")
+    else:
+        raise ValueError(f"unknown transformation {name!r}, expected one of {BUILTIN_SPEC_NAMES}")
+    return TransformSpec(name, patterns)
 
 
 def _sum_patterns(formula: CnfFormula, dim: int, choose) -> QuboMatrix:
@@ -362,14 +361,14 @@ def write_spec_bundle(spec: TransformSpec, directory: str) -> None:
         with open(os.path.join(directory, filename), "w", encoding="utf-8") as fh:
             fh.write(write_pattern(pattern, clause_type))
         files[str(clause_type)] = filename
-    manifest = {"name": spec.name, "uses_aux": spec.uses_aux, "patterns": files}
+    manifest = {"name": spec.name, "patterns": files}
     with open(os.path.join(directory, _MANIFEST), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
 
 def read_spec_bundle(directory: str) -> TransformSpec:
-    """Load a spec bundle written by write_spec_bundle."""
+    """Load a spec bundle written by write_spec_bundle, ignoring an older manifest's uses_aux."""
     with open(os.path.join(directory, _MANIFEST), encoding="utf-8") as fh:
         manifest = json.load(fh)
     patterns = []
@@ -380,4 +379,4 @@ def read_spec_bundle(directory: str) -> TransformSpec:
         if stored_type != clause_type:
             raise ValueError(f"{filename} stores clause type {stored_type}, expected {clause_type}")
         patterns.append(pattern)
-    return TransformSpec(manifest["name"], tuple(patterns), bool(manifest["uses_aux"]))
+    return TransformSpec(manifest["name"], tuple(patterns))

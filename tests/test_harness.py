@@ -1,6 +1,7 @@
 """Experiment runners, summaries, and record persistence."""
 
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -74,6 +75,8 @@ def test_config_validation():
                                     "num_clauses": 5, "seed": 0, "transforms": ["nuesslein"],
                                     "solver": {"kind": "tabu", "iteration_limit": 50,
                                                "time_limit_ms": 40}})
+    with pytest.raises(ValueError, match="transforms repeat a name"):
+        _sa_config(transforms=("nuesslein", "nuesslein"))
     with pytest.raises(ValueError, match="transforms repeat a name"):
         ExperimentConfig.from_dict({"kind": "comparison", "count": 1, "num_vars": 5,
                                     "num_clauses": 5, "seed": 0,
@@ -152,15 +155,17 @@ def test_comparison_records_and_summary():
 
 
 def test_comparison_identical_methods_zero_diff():
-    config = _sa_config(count=2, transforms=("nuesslein", "nuesslein"), samples=2)
-    records, summary = run_comparison(config)
-    for row in summary:
-        if row.kind == "diff" and row.method == row.other == "nuesslein":
-            assert row.value == 0
-    # a method against itself has improvement 0 whenever defined
-    for row in summary:
-        if row.kind == "improvement" and row.method == row.other:
-            assert row.value == 0.0
+    config = _sa_config(count=2, transforms=("nuesslein",), samples=2)
+    records, _ = run_comparison(config)
+    copies = [replace(r, method="copy") for r in records if r.method == "nuesslein"]
+    summary = summarize_comparison(records + copies)
+    diffs = [row for row in summary if row.kind == "diff"
+             and {row.method, row.other} == {"nuesslein", "copy"}]
+    improvements = [row for row in summary if row.kind == "improvement"
+                    and {row.method, row.other} == {"nuesslein", "copy"}]
+    assert len(diffs) == 2
+    assert improvements
+    assert all(row.value == 0 for row in diffs + improvements)
 
 
 def test_records_satisfied_recomputes():

@@ -8,12 +8,9 @@ from maxsat_qubo.formula import CnfFormula, clause_of, generate_balanced
 from maxsat_qubo.pattern_search import (
     CANONICAL_PATTERNS_PER_TYPE,
     CANONICAL_VALUES,
-    COEFF_ORDER_3X3,
-    ValueSet,
     approximation_census,
     coverage_check,
     enumerate_combinations,
-    score_combinations,
     search_3x3,
     search_4x4,
     select_best_combination,
@@ -22,6 +19,7 @@ from maxsat_qubo.solvers import SolverConfig
 from maxsat_qubo.transform import (
     APPROX_6_OF_7,
     EXACT_ALL_7,
+    SLOT_ORDERS,
     ClausePattern,
     builtin_spec,
     verify_pattern,
@@ -30,16 +28,16 @@ from maxsat_qubo.transform import (
 
 def test_value_set_validation():
     with pytest.raises(ValueError, match="non-empty"):
-        ValueSet(())
+        search_3x3((), 0, APPROX_6_OF_7)
     with pytest.raises(ValueError, match="duplicates"):
-        ValueSet((1, 1))
+        search_3x3((1, 1), 0, APPROX_6_OF_7)
 
 
 def _naive_search_3x3(values, clause_type, criterion):
     """Independent re-enumeration: build every candidate and ask the verifier."""
     found = []
     for coeffs in itertools.product(values, repeat=6):
-        pattern = ClausePattern(3, dict(zip(COEFF_ORDER_3X3, coeffs)))
+        pattern = ClausePattern(3, dict(zip(SLOT_ORDERS[3], coeffs)))
         if verify_pattern(pattern, clause_type, criterion).valid:
             found.append(pattern)
     return found
@@ -162,16 +160,17 @@ def test_select_best_combination_small_calibration():
         assert verify_pattern(best.patterns[clause_type], clause_type, APPROX_6_OF_7).valid
 
 
-def test_score_combinations_indices_align():
+def test_combination_names_carry_indices_aligned_with_scores():
     per_type = [search_3x3(CANONICAL_VALUES, t, APPROX_6_OF_7)[:2] for t in range(4)]
     formula = CnfFormula(3, (clause_of(1, 2, 3), clause_of(-1, -2, -3)))
     config = SolverConfig(kind="brute", samples=1, seed=0)
-    choices = score_combinations(per_type, formula, config, seed=8)
-    assert len(choices) == 16
-    assert choices[0].indices == (0, 0, 0, 0)
-    assert choices[1].indices == (0, 0, 0, 1)
-    assert choices[-1].indices == (1, 1, 1, 1)
-    assert all(0 <= c.score <= 2 for c in choices)
+    specs = enumerate_combinations(per_type)
+    _, scores = select_best_combination(formula, specs, config, seed=8)
+    assert len(specs) == len(scores) == 16
+    for spec, indices in zip(specs, itertools.product(range(2), repeat=4)):
+        assert spec.name == "combo-" + "-".join(map(str, indices))
+        assert spec.patterns == tuple(per_type[t][i] for t, i in enumerate(indices))
+    assert all(0 <= score <= 2 for score in scores)
 
 
 def test_calibration_rejects_a_solver_seed_it_would_override():
@@ -180,8 +179,6 @@ def test_calibration_rejects_a_solver_seed_it_would_override():
     config = SolverConfig(kind="brute", samples=1, seed=987654)
     with pytest.raises(ValueError, match="solver seed must be left at 0"):
         select_best_combination(formula, enumerate_combinations(per_type), config, seed=1)
-    with pytest.raises(ValueError, match="solver seed must be left at 0"):
-        score_combinations(per_type, formula, config, seed=1)
 
 
 def test_approximation_census_canonical():

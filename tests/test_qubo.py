@@ -240,6 +240,11 @@ def test_pruning_schedule_chain(strategy):
     for earlier, later in zip(stages, stages[1:]):
         assert set(later.matrix.entries) <= set(earlier.matrix.entries)
         assert {k: v for k, v in later.matrix.entries.items() if k[0] == k[1]} == diag
+    # the schedule and the one-shot prune calls share one removal order
+    for stage in stages:
+        target = stage.removed_cumulative
+        expected = prune_min(q, target) if strategy == "min" else prune_random(q, target, seed=13)
+        assert stage.matrix == expected
 
 
 def test_pruning_schedule_rejects_unknown_strategy():
@@ -276,6 +281,7 @@ def test_qubo_text_roundtrip_with_layout():
     ("p qubo 2 1\n0 1 1.5\n", "line 2: non-integer"),
     ("p qubo two 1\n", "line 1: non-integer"),
     ("c aux 1 clause x\np qubo 2 1\n1 1 1\n", "line 1: non-integer"),
+    ("c aux 2 clause 0\nc aux 2 clause 1\np qubo 3 1\n0 0 1\n", "line 2: repeated aux index 2"),
 ])
 def test_qubo_text_errors(text, match):
     with pytest.raises(ValueError, match=match):

@@ -1,5 +1,6 @@
 """Built-in pattern tables, verification, repair, assembly, hint construction, decoding."""
 
+import json
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from maxsat_qubo.qubo import VariableLayout, brute_force_min, energy, minimize_w
 from maxsat_qubo.rng import generator
 from maxsat_qubo.transform import (
     APPROX_6_OF_7,
+    BUILTIN_SPEC_NAMES,
     EXACT_ALL_7,
     TRIPLES,
     ClausePattern,
@@ -313,16 +315,22 @@ def test_pattern_text_errors(text, match):
 
 
 def test_spec_bundle_roundtrip(tmp_path):
-    spec = builtin_spec("fullapprox")
-    write_spec_bundle(spec, str(tmp_path / "bundle"))
-    loaded = read_spec_bundle(str(tmp_path / "bundle"))
-    assert loaded == spec
+    for name in BUILTIN_SPEC_NAMES:
+        spec = builtin_spec(name)
+        assert spec.uses_aux == (spec.patterns[0].dim == 4)
+        write_spec_bundle(spec, str(tmp_path / name))
+        assert read_spec_bundle(str(tmp_path / name)) == spec
+    # a manifest that still carries the old uses_aux key loads the same spec
+    manifest_path = tmp_path / "nuesslein" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert "uses_aux" not in manifest
+    manifest["uses_aux"] = True
+    manifest_path.write_text(json.dumps(manifest))
+    assert read_spec_bundle(str(tmp_path / "nuesslein")) == builtin_spec("nuesslein")
 
 
 def test_transform_spec_validation():
     p3 = builtin_spec("fullapprox").patterns[0]
     p4 = builtin_spec("nuesslein").patterns[0]
     with pytest.raises(ValueError, match="dimensions"):
-        TransformSpec("mixed", (p3, p3, p3, p4), uses_aux=False)
-    with pytest.raises(ValueError, match="uses_aux"):
-        TransformSpec("flag", (p3, p3, p3, p3), uses_aux=True)
+        TransformSpec("mixed", (p3, p3, p3, p4))
