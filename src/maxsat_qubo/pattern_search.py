@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import replace
 from itertools import product
 from typing import Sequence
@@ -26,7 +27,11 @@ CANONICAL_PATTERNS_PER_TYPE = 4
 
 
 def _as_values(values) -> tuple[int, ...]:
-    """The search values as ints; they must be non-empty and distinct."""
+    """The search values as ints; they must be non-empty, distinct integers (not bools)."""
+    values = tuple(values)
+    for v in values:
+        if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+            raise ValueError(f"search values must be integers, got {v!r}")
     values = tuple(int(v) for v in values)
     if not values:
         raise ValueError("value set must be non-empty")

@@ -112,6 +112,22 @@ class CompiledQubo(NamedTuple):
         # the diagonal and every coupling twice
         return (rows * (self.diag - gains)).sum(axis=1) // 2
 
+    def colour_classes(self) -> list[np.ndarray]:
+        """Greedy colouring of the interaction graph in index order, as ascending bit arrays.
+
+        Each bit takes the smallest colour that no lower-index neighbour has, so no
+        coupling joins two bits of one class.
+        """
+        colours: list[int] = []
+        for i, (row, degree) in enumerate(zip(self.idx.tolist(), self.degree.tolist())):
+            taken = {colours[j] for j in row[:degree] if j < i}
+            colour = 0
+            while colour in taken:
+                colour += 1
+            colours.append(colour)
+        colour_of = np.asarray(colours, dtype=np.int64)
+        return [np.flatnonzero(colour_of == c) for c in range(int(colour_of.max()) + 1)]
+
 
 @dataclass(frozen=True)
 class VariableLayout:

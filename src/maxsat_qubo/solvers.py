@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .formula import CnfFormula, count_satisfied_many
-from .qubo import QuboMatrix, brute_force_min, energy_many
+from .qubo import CompiledQubo, QuboMatrix, brute_force_min, energy_many
 from .rng import generator, mix
 
 # the SolverConfig option fields each solver kind reads; the CLI and experiments defer to it
@@ -111,7 +111,8 @@ def _batch_tabu(q: QuboMatrix, seeds: Sequence[int], config: SolverConfig):
     still flip if it strictly improves the row's incumbent best (aspiration), and a row
     whose every bit is tabu ignores the list. The flip gains D = (1 - 2X)·G are carried,
     not rebuilt: a flip negates its bit's gain and updates its neighbours', O(k·width)
-    per iteration. SA keeps the fields G instead (see _batch_sa).
+    per iteration. SA keeps the fields G instead, updated once per colour class (see
+    _batch_sa).
     """
     start, time_limit_ms = time.perf_counter(), config.time_limit_ms
     iteration_limit = config.iteration_limit
@@ -152,40 +153,82 @@ def _batch_tabu(q: QuboMatrix, seeds: Sequence[int], config: SolverConfig):
     return best_energy, best_bits
 
 
+def _class_tables(compiled: CompiledQubo):
+    """Bits renumbered class by class, with each class's field-update table.
+
+    Returns the permutation (position -> bit) that lays the colour classes out
+    contiguously, and per class its position range [lo, hi), the positions of the bits
+    with a neighbour in the class, and a padded (targets, width) table of those
+    neighbours' positions and weights. Padding points at position dim, a column of
+    signed flips that is always 0.
+    """
+    classes = compiled.colour_classes()
+    dim = len(compiled.diag)
+    perm = np.concatenate(classes)
+    position = np.empty(dim, dtype=np.int64)
+    position[perm] = np.arange(dim)
+    bounds = np.cumsum([0] + [len(c) for c in classes])
+    colour = np.repeat(np.arange(len(classes)), np.diff(bounds))
+    rows, slots = np.nonzero(np.arange(compiled.idx.shape[1]) < compiled.degree[:, None])
+    src, target = position[rows], position[compiled.idx[rows, slots]]
+    # one sort lays the couplings out by (source class, target); a target is one table row
+    order = np.argsort(colour[src] * dim + target, kind="stable")
+    src, target, weight = src[order], target[order], compiled.weight[rows, slots][order]
+    parts = np.searchsorted(colour[src], np.arange(len(classes) + 1))
+    tables = []
+    for c in range(len(classes)):
+        part = slice(parts[c], parts[c + 1])
+        targets, row, count = np.unique(target[part], return_inverse=True, return_counts=True)
+        slot = np.arange(row.size) - (np.cumsum(count) - count)[row]
+        table = np.full((targets.size, count.max(initial=0)), dim, dtype=np.int64)
+        weights = np.zeros(table.shape, dtype=np.int64)
+        table[row, slot] = src[part]
+        weights[row, slot] = weight[part]
+        tables.append((bounds[c], bounds[c + 1], targets, table, weights))
+    return perm, tables
+
+
 def _batch_sa(q: QuboMatrix, seeds: Sequence[int], config: SolverConfig):
-    """Lockstep single-flip Metropolis annealing on a geometric beta schedule."""
+    """Lockstep Metropolis annealing on a geometric beta schedule, one colour class at a time.
+
+    A sweep visits the colour classes of compiled.colour_classes() in order. Bits of one
+    class share no coupling, so each bit's flip difference and accept decision
+    (u < exp(-beta * max(delta, 0)), u drawn per bit per sweep) is made on the
+    class-start state and all accepted flips apply together. The fields G are updated
+    once per class and the best state is tracked after each class.
+    """
     start, time_limit_ms, sweeps = time.perf_counter(), config.time_limit_ms, config.sa_sweeps
     gens, X, D, E, compiled = _initial_states(q, seeds)
-    best_energy, best_bits, G = E.copy(), X.copy(), (1 - 2 * X) * D
-    if sweeps > 0:
-        # unpadded neighbour slices: padded rows cost more per site update
-        neighbors = [(compiled.idx[i, :d], compiled.weight[i, :d][None, :])
-                     for i, d in enumerate(compiled.degree)]
-        exponents = np.arange(sweeps) / max(1, sweeps - 1)
-        betas = config.sa_beta_start * (config.sa_beta_end / config.sa_beta_start) ** exponents
-        for sweep in range(sweeps):
-            if time_limit_ms is not None and (time.perf_counter() - start) * 1000 >= time_limit_ms:
-                break
-            uniforms = np.stack([g.random(q.dim) for g in gens])
-            beta = betas[sweep]
-            for i in range(q.dim):
-                # fields, not carried gains: those cost an X gather per update (measured slower)
-                delta = np.where(X[:, i] == 1, -G[:, i], G[:, i])
-                # uniforms lie in [0, 1) and a downhill move's threshold is exp(0) = 1
-                acc = np.flatnonzero(uniforms[:, i] < np.exp(-beta * np.maximum(delta, 0)))
-                if not acc.size:
-                    continue
-                sign = 1 - 2 * X[acc, i]
-                X[acc, i] = 1 - X[acc, i]
-                idx, weight = neighbors[i]
-                if idx.size:
-                    G[np.ix_(acc, idx)] += sign[:, None] * weight
-                E[acc] += delta[acc]
-                improved = E < best_energy
-                if improved.any():
-                    best_energy[improved] = E[improved]
-                    best_bits[improved] = X[improved]
-    return best_energy, best_bits
+    if sweeps == 0:
+        return E, X
+    perm, tables = _class_tables(compiled)
+    # state in class order, so each class is a contiguous slice; F holds the signed flips.
+    # Fields, not carried gains: a field update needs no read of the target bits.
+    X, G = X[:, perm], ((1 - 2 * X) * D)[:, perm]
+    F = np.zeros((len(seeds), q.dim + 1), dtype=np.int64)
+    best_energy, best_bits = E.copy(), X.copy()
+    exponents = np.arange(sweeps) / max(1, sweeps - 1)
+    betas = config.sa_beta_start * (config.sa_beta_end / config.sa_beta_start) ** exponents
+    for beta in betas:
+        if time_limit_ms is not None and (time.perf_counter() - start) * 1000 >= time_limit_ms:
+            break
+        uniforms = np.stack([g.random(q.dim) for g in gens])[:, perm]
+        for lo, hi, targets, src, weight in tables:
+            flip = 1 - 2 * X[:, lo:hi]
+            delta = flip * G[:, lo:hi]
+            # uniforms lie in [0, 1) and a downhill move's threshold is exp(0) = 1
+            accepted = uniforms[:, lo:hi] < np.exp(-beta * np.maximum(delta, 0))
+            sign = F[:, lo:hi]
+            np.multiply(flip, accepted, out=sign)
+            X[:, lo:hi] += sign
+            E += (sign * G[:, lo:hi]).sum(axis=1)
+            if targets.size:
+                G[:, targets] += (F[:, src] * weight).sum(axis=2)
+            improved = E < best_energy
+            if improved.any():
+                best_energy[improved] = E[improved]
+                best_bits[improved] = X[improved]
+    return best_energy, best_bits[:, np.argsort(perm)]
 
 
 def _results_from_batch(q: QuboMatrix, seeds, best_bits, tracked_energy=None) -> list[SolveResult]:

@@ -371,9 +371,19 @@ def read_spec_bundle(directory: str) -> TransformSpec:
     """Load a spec bundle written by write_spec_bundle, ignoring an older manifest's uses_aux."""
     with open(os.path.join(directory, _MANIFEST), encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{_MANIFEST} is not a JSON object")
+    for key in ("name", "patterns"):
+        if key not in manifest:
+            raise ValueError(f"{_MANIFEST} lacks {key!r}")
+    files = manifest["patterns"]
+    if not isinstance(files, dict):
+        raise ValueError(f"{_MANIFEST} 'patterns' is not an object")
     patterns = []
     for clause_type in range(4):
-        filename = manifest["patterns"][str(clause_type)]
+        if str(clause_type) not in files:
+            raise ValueError(f"{_MANIFEST} 'patterns' lacks clause type {clause_type}")
+        filename = files[str(clause_type)]
         with open(os.path.join(directory, filename), encoding="utf-8") as fh:
             pattern, stored_type = parse_pattern(fh.read())
         if stored_type != clause_type:

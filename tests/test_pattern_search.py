@@ -2,6 +2,8 @@
 
 import itertools
 
+import numpy as np
+
 import pytest
 
 from maxsat_qubo.formula import CnfFormula, clause_of, generate_balanced
@@ -31,6 +33,12 @@ def test_value_set_validation():
         search_3x3((), 0, APPROX_6_OF_7)
     with pytest.raises(ValueError, match="duplicates"):
         search_3x3((1, 1), 0, APPROX_6_OF_7)
+    for values, bad in (((-1, 0.5, 1), "0.5"), ((-1, 0.5, 0), "0.5"), ((-1, 1.0), "1.0"),
+                        ((0, True), "True")):
+        with pytest.raises(ValueError, match=f"must be integers, got {bad}"):
+            search_3x3(values, 0, APPROX_6_OF_7)
+    assert search_3x3(np.array([-1, 0, 1]), 0, APPROX_6_OF_7) == \
+        search_3x3((-1, 0, 1), 0, APPROX_6_OF_7)
 
 
 def _naive_search_3x3(values, clause_type, criterion):

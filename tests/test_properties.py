@@ -230,6 +230,65 @@ def test_tabu_matches_reference_rule(shape, data):
         [_reference_tabu(q, mix(seed, r), iterations, tenure) for r in range(samples)]
 
 
+def _reference_colour_classes(q):
+    """Greedy colouring in index order: each bit takes the smallest colour that no
+    lower-index neighbour has."""
+    neighbours = [set() for _ in range(q.dim)]
+    for i, j in q.entries:
+        if i < j:
+            neighbours[i].add(j)
+            neighbours[j].add(i)
+    colours = []
+    for i in range(q.dim):
+        taken = {colours[j] for j in neighbours[i] if j < i}
+        colours.append(min(set(range(len(taken) + 1)) - taken))
+    return [[i for i in range(q.dim) if colours[i] == c] for c in range(max(colours) + 1)]
+
+
+def _reference_sa(q, seed, sweeps, beta_start, beta_end):
+    """The documented annealing rule, one row at a time: per colour class, each bit's flip
+    difference recomputed with the exact energy on the class-start state and accepted when
+    u < exp(-beta * max(difference, 0)) with u drawn per bit per sweep, the accepted flips
+    applied together, and the best state tracked after each class."""
+    g = generator(seed)
+    bits = g.integers(0, 2, size=q.dim, dtype=np.int64).tolist()
+    current = energy(q, bits)
+    best, best_bits = current, tuple(bits)
+    betas = beta_start * (beta_end / beta_start) ** (np.arange(sweeps) / max(1, sweeps - 1))
+    for beta in betas:
+        uniforms = g.random(q.dim)
+        for members in _reference_colour_classes(q):
+            diffs = np.array([energy(q, bits[:i] + [1 - bits[i]] + bits[i + 1:]) - current
+                              for i in members])
+            accepted = uniforms[members] < np.exp(-beta * np.maximum(diffs, 0))
+            for i, flip in zip(members, accepted):
+                bits[i] ^= int(flip)
+            current = energy(q, bits)
+            if current < best:
+                best, best_bits = current, tuple(bits)
+    return best_bits, best
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sa_matches_reference_rule(shape, data):
+    q, _ = data.draw(matrices(shape))
+    classes = [c.tolist() for c in q.diag_coupling().colour_classes()]
+    assert classes == _reference_colour_classes(q)
+    assert sorted(i for members in classes for i in members) == list(range(q.dim))
+    colour = {i: c for c, members in enumerate(classes) for i in members}
+    assert all(colour[i] != colour[j] for i, j in q.entries if i < j)
+    seed = data.draw(st.integers(0, 2 ** 64 - 1))
+    samples, sweeps = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 6))
+    beta_start = data.draw(st.floats(0.01, 2.0))
+    beta_end = beta_start + data.draw(st.floats(0.01, 10.0))
+    config = SolverConfig(kind="sa", samples=samples, seed=seed, sa_sweeps=sweeps,
+                          sa_beta_start=beta_start, sa_beta_end=beta_end)
+    assert [(r.bits, r.energy) for r in solve(q, config)] == \
+        [_reference_sa(q, mix(seed, r), sweeps, beta_start, beta_end) for r in range(samples)]
+
+
 @pytest.mark.parametrize("run, message", [
     (lambda q: tabu_search(q, -5, 5, 1), "iteration_limit"),
     (lambda q: tabu_search(q, 10, 0, 1), "tabu_tenure"),

@@ -329,6 +329,26 @@ def test_spec_bundle_roundtrip(tmp_path):
     assert read_spec_bundle(str(tmp_path / "nuesslein")) == builtin_spec("nuesslein")
 
 
+@pytest.mark.parametrize("edit, match", [
+    (lambda m: m.pop("name"), "lacks 'name'"),
+    (lambda m: m.pop("patterns"), "lacks 'patterns'"),
+    (lambda m: m.update(patterns=["type0.pattern"]), "'patterns' is not an object"),
+    (lambda m: m["patterns"].pop("0"), "lacks clause type 0"),
+    (lambda m: m["patterns"].pop("3"), "lacks clause type 3"),
+])
+def test_spec_bundle_manifest_errors(tmp_path, edit, match):
+    write_spec_bundle(builtin_spec("nuesslein"), str(tmp_path))
+    manifest_path = tmp_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=match):
+        read_spec_bundle(str(tmp_path))
+    manifest_path.write_text("[]")
+    with pytest.raises(ValueError, match="not a JSON object"):
+        read_spec_bundle(str(tmp_path))
+
+
 def test_transform_spec_validation():
     p3 = builtin_spec("fullapprox").patterns[0]
     p4 = builtin_spec("nuesslein").patterns[0]
