@@ -89,7 +89,7 @@ def _cmd_solve(args) -> int:
     results = solvers.solve(matrix, config)
     wall_ms = int(round((time.perf_counter() - started) * 1000))
     rows = [{"run": result.run_index,
-             "bits": "".join(str(b) for b in result.bits),
+             "bits": "".join(map(str, result.bits)),
              "energy": result.energy,
              "seed": result.seed_used} for result in results]
     if formula is not None:

@@ -45,9 +45,10 @@ class Clause:
         lits = tuple(self.literals)
         if len(lits) != 3:
             raise ValueError(f"a clause needs exactly 3 literals, got {len(lits)}")
-        variables = [lit.variable for lit in lits]
-        if len(set(variables)) != 3:
-            raise ValueError(f"clause variables must be pairwise distinct: {variables}")
+        x, y, z = lits
+        if x.variable == y.variable or x.variable == z.variable or y.variable == z.variable:
+            raise ValueError("clause variables must be pairwise distinct: "
+                             f"{[x.variable, y.variable, z.variable]}")
         object.__setattr__(self, "literals", lits)
 
     @classmethod
@@ -55,7 +56,8 @@ class Clause:
         return cls(tuple(Literal.from_dimacs(l) for l in lits))
 
     def variables(self) -> tuple[int, int, int]:
-        return tuple(lit.variable for lit in self.literals)
+        x, y, z = self.literals
+        return x.variable, y.variable, z.variable
 
     def is_satisfied(self, bits: Sequence[int]) -> bool:
         return any(lit.value(bits) for lit in self.literals)
@@ -102,13 +104,13 @@ def parse_dimacs(text: str) -> CnfFormula:
     num_vars = num_clauses = None
     tokens: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "c":
             continue
-        if line.startswith("p"):
+        if fields[0][0] == "p":
+            line = raw.strip()
             if num_vars is not None:
                 raise ValueError(f"line {lineno}: duplicate problem header")
-            fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise ValueError(f"line {lineno}: malformed header {line!r}")
             try:
@@ -121,27 +123,31 @@ def parse_dimacs(text: str) -> CnfFormula:
         if num_vars is None:
             raise ValueError(f"line {lineno}: clause before 'p cnf' header")
         try:
-            tokens.extend(int(tok) for tok in line.split())
+            tokens.extend(map(int, fields))
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer clause token") from None
 
     if num_vars is None:
         raise ValueError("missing 'p cnf' header")
 
+    # one Literal per distinct signed literal, range-checked when first seen
+    literals: dict[int, Literal] = {}
     clauses = []
-    current: list[int] = []
-    for tok in tokens:
-        if tok == 0:
-            if len(current) != 3:
-                raise ValueError(f"clause {len(clauses) + 1} has {len(current)} literals, expected 3")
-            for lit in current:
-                if abs(lit) > num_vars:
-                    raise ValueError(f"variable {abs(lit)} exceeds declared num_vars={num_vars}")
-            clauses.append(Clause.from_dimacs(current))
-            current = []
-        else:
-            current.append(tok)
-    if current:
+    start = 0
+    for end in [index for index, tok in enumerate(tokens) if tok == 0]:
+        if end - start != 3:
+            raise ValueError(f"clause {len(clauses) + 1} has {end - start} literals, expected 3")
+        lits = []
+        for tok in tokens[start:end]:
+            lit = literals.get(tok)
+            if lit is None:
+                if abs(tok) > num_vars:
+                    raise ValueError(f"variable {abs(tok)} exceeds declared num_vars={num_vars}")
+                lit = literals[tok] = Literal.from_dimacs(tok)
+            lits.append(lit)
+        clauses.append(Clause(tuple(lits)))
+        start = end + 1
+    if start != len(tokens):
         raise ValueError("unterminated clause (missing trailing 0)")
     if len(clauses) != num_clauses:
         raise ValueError(f"header declares {num_clauses} clauses but {len(clauses)} were read")
@@ -150,11 +156,10 @@ def parse_dimacs(text: str) -> CnfFormula:
 
 def write_dimacs(formula: CnfFormula, comments: Sequence[str] = ()) -> str:
     """Serialize a formula to DIMACS CNF; parse_dimacs(write_dimacs(f)) == f."""
-    lines = [f"c {comment}" for comment in comments]
-    lines.append(f"p cnf {formula.num_vars} {formula.num_clauses}")
-    for clause in formula.clauses:
-        lines.append(" ".join(str(lit.to_dimacs()) for lit in clause.literals) + " 0")
-    return "\n".join(lines) + "\n"
+    head = "".join(f"c {comment}\n" for comment in comments)
+    signed = [lit.to_dimacs() for clause in formula.clauses for lit in clause.literals]
+    body = "".join(map("{} {} {} 0\n".format, signed[0::3], signed[1::3], signed[2::3]))
+    return f"{head}p cnf {formula.num_vars} {formula.num_clauses}\n{body}"
 
 
 def classify_clause(clause: Clause) -> tuple[int, tuple[int, int, int]]:
@@ -208,17 +213,21 @@ class _GeneratorStuck(Exception):
 
 def _balanced_attempt(num_vars: int, num_clauses: int,
                       rng: np.random.Generator) -> tuple[Clause, ...]:
-    occurrences = np.zeros(num_vars, dtype=np.int64)
-    positive = np.zeros(num_vars, dtype=np.int64)
-    negative = np.zeros(num_vars, dtype=np.int64)
+    scaled_occurrences = np.zeros(num_vars, dtype=np.int64)  # occurrences * num_vars
+    positive, negative = [0] * num_vars, [0] * num_vars
+    literals = [(Literal(v), Literal(v, True)) for v in range(1, num_vars + 1)]
     seen: set[tuple[tuple[int, bool], ...]] = set()
     clauses: list[Clause] = []
     max_redraws = 200
     for _ in range(num_clauses):
         for _ in range(max_redraws):
-            jitter = rng.permutation(num_vars)
-            order = np.lexsort((jitter, occurrences))
-            chosen = [int(v) for v in order[:3]]
+            # rank = occurrences * num_vars + a permutation that breaks ties and makes every
+            # rank distinct: the three least ranks, in rank order, are the three least-used
+            # variables in tie-break order
+            rank = rng.permutation(num_vars)
+            rank += scaled_occurrences
+            least = rank.argpartition(2)[:3]
+            chosen = least[rank[least].argsort()].tolist()
             lits = []
             for v in chosen:
                 if positive[v] < negative[v]:
@@ -234,13 +243,13 @@ def _balanced_attempt(num_vars: int, num_clauses: int,
         else:
             raise _GeneratorStuck(len(clauses) + 1)
         seen.add(key)
+        scaled_occurrences[chosen] += num_vars
         for v, neg in lits:
-            occurrences[v] += 1
             if neg:
                 negative[v] += 1
             else:
                 positive[v] += 1
-        clauses.append(Clause(tuple(Literal(v + 1, neg) for v, neg in lits)))
+        clauses.append(Clause(tuple(literals[v][neg] for v, neg in lits)))
     return tuple(clauses)
 
 

@@ -305,7 +305,7 @@ def write_qubo(q: QuboMatrix, layout: VariableLayout | None = None,
 
 def _line_ints(fields: list[str], lineno: int) -> tuple[int, ...]:
     try:
-        return tuple(int(f) for f in fields)
+        return tuple(map(int, fields))
     except ValueError:
         raise ValueError(f"line {lineno}: non-integer field in {' '.join(fields)!r}") from None
 
@@ -322,16 +322,16 @@ def read_triplets(text, kind: str, header_ints: int):
     entries: Entries = {}
     comments: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
-        if line.startswith("c"):
+        lead = fields[0][0]
+        if lead == "c":
             comments.append((lineno, fields))
             continue
-        if line.startswith("p"):
+        if lead == "p":
             if len(fields) != 2 + header_ints or fields[1] != kind:
-                raise ValueError(f"line {lineno}: malformed header {line!r}")
+                raise ValueError(f"line {lineno}: malformed header {raw.strip()!r}")
             if header is not None:
                 raise ValueError(f"line {lineno}: second 'p {kind}' header")
             header = _line_ints(fields[2:], lineno)
@@ -339,7 +339,7 @@ def read_triplets(text, kind: str, header_ints: int):
         if header is None:
             raise ValueError(f"line {lineno}: entry before 'p {kind}' header")
         if len(fields) != 3:
-            raise ValueError(f"line {lineno}: expected 'i j coeff', got {line!r}")
+            raise ValueError(f"line {lineno}: expected 'i j coeff', got {raw.strip()!r}")
         i, j, value = _line_ints(fields, lineno)
         if (i, j) in entries:
             raise ValueError(f"line {lineno}: duplicate entry ({i}, {j})")
@@ -355,10 +355,17 @@ def write_triplets(kind: str, header: Sequence[int], entries: Entries,
                    comments: Sequence[str] = ()) -> str:
     """Write the format read_triplets reads: 'c' comment lines, then the header
     'p <kind> <header integers> <entry count>', then 'i j coeff' lines in key order."""
-    lines = [f"c {comment}" for comment in comments]
-    lines.append(" ".join(["p", kind, *map(str, header), str(len(entries))]))
-    lines += [f"{i} {j} {entries[(i, j)]}" for (i, j) in sorted(entries)]
-    return "\n".join(lines) + "\n"
+    head = "".join(f"c {comment}\n" for comment in comments)
+    # keys are validated in-range matrix or slot indices, so int64 holds them; the
+    # coefficients are written from the Python ints, exact at any size
+    count = len(entries)
+    pairs = np.fromiter(chain.from_iterable(entries), dtype=np.int64,
+                        count=2 * count).reshape(count, 2)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    rows, cols = pairs[order].T.tolist()
+    values = list(entries.values())
+    body = "".join(map("{} {} {}\n".format, rows, cols, map(values.__getitem__, order.tolist())))
+    return f"{head}{' '.join(['p', kind, *map(str, header), str(count)])}\n{body}"
 
 
 def parse_qubo(text: str) -> tuple[QuboMatrix, VariableLayout | None]:

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .formula import CnfFormula, count_satisfied_many
-from .qubo import CompiledQubo, QuboMatrix, brute_force_min, energy_many
+from .qubo import CompiledQubo, QuboMatrix, brute_force_min
 from .rng import generator, mix
 
 # the SolverConfig option fields each solver kind reads; the CLI and experiments defer to it
@@ -95,16 +95,15 @@ def energy_gains(q: QuboMatrix, bits: Sequence[int]) -> np.ndarray:
     return q.diag_coupling().gains(np.asarray([[int(b) for b in bits]], dtype=np.int64))[0]
 
 
-def _initial_states(q: QuboMatrix, seeds: Sequence[int]):
-    """Seeded random rows with their flip gains D and energies E, and the compiled matrix."""
-    compiled = q.diag_coupling()
+def _initial_states(compiled: CompiledQubo, seeds: Sequence[int]):
+    """Seeded random rows with their flip gains D and energies E."""
     gens = [generator(s) for s in seeds]
-    X = np.stack([g.integers(0, 2, size=q.dim, dtype=np.int64) for g in gens])
+    X = np.stack([g.integers(0, 2, size=len(compiled.diag), dtype=np.int64) for g in gens])
     D = compiled.gains(X)
-    return gens, X, D, compiled.energies(X, D), compiled
+    return gens, X, D, compiled.energies(X, D)
 
 
-def _batch_tabu(q: QuboMatrix, seeds: Sequence[int], config: SolverConfig):
+def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConfig):
     """Lockstep best-improvement tabu search over one row per seed.
 
     Each iteration flips a row's best non-tabu bit, lowest index on ties; a tabu bit may
@@ -115,16 +114,17 @@ def _batch_tabu(q: QuboMatrix, seeds: Sequence[int], config: SolverConfig):
     _batch_sa).
     """
     start, time_limit_ms = time.perf_counter(), config.time_limit_ms
+    dim = len(compiled.diag)
     iteration_limit = config.iteration_limit
     if iteration_limit is None and time_limit_ms is None:
-        iteration_limit = 10_000 * q.dim
-    tenure = config.tabu_tenure or max(10, q.dim // 10)
-    _, X, D, E, compiled = _initial_states(q, seeds)
+        iteration_limit = 10_000 * dim
+    tenure = config.tabu_tenure or max(10, dim // 10)
+    _, X, D, E = _initial_states(compiled, seeds)
     best_energy, best_bits, tabu_until = E.copy(), X.copy(), np.zeros_like(X)
     # flat views: one flat index per cell is cheaper than a (row, column) pair
     flat_X, flat_D, flat_tabu = X.reshape(-1), D.reshape(-1), tabu_until.reshape(-1)
     rows = np.arange(len(seeds))
-    row_start = rows * q.dim
+    row_start = rows * dim
     iteration = 0
     while iteration_limit is None or iteration < iteration_limit:
         if time_limit_ms is not None and (time.perf_counter() - start) * 1000 >= time_limit_ms:
@@ -188,7 +188,7 @@ def _class_tables(compiled: CompiledQubo):
     return perm, tables
 
 
-def _batch_sa(q: QuboMatrix, seeds: Sequence[int], config: SolverConfig):
+def _batch_sa(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConfig):
     """Lockstep Metropolis annealing on a geometric beta schedule, one colour class at a time.
 
     A sweep visits the colour classes of compiled.colour_classes() in order. Bits of one
@@ -198,21 +198,22 @@ def _batch_sa(q: QuboMatrix, seeds: Sequence[int], config: SolverConfig):
     once per class and the best state is tracked after each class.
     """
     start, time_limit_ms, sweeps = time.perf_counter(), config.time_limit_ms, config.sa_sweeps
-    gens, X, D, E, compiled = _initial_states(q, seeds)
+    dim = len(compiled.diag)
+    gens, X, D, E = _initial_states(compiled, seeds)
     if sweeps == 0:
         return E, X
     perm, tables = _class_tables(compiled)
     # state in class order, so each class is a contiguous slice; F holds the signed flips.
     # Fields, not carried gains: a field update needs no read of the target bits.
     X, G = X[:, perm], ((1 - 2 * X) * D)[:, perm]
-    F = np.zeros((len(seeds), q.dim + 1), dtype=np.int64)
+    F = np.zeros((len(seeds), dim + 1), dtype=np.int64)
     best_energy, best_bits = E.copy(), X.copy()
     exponents = np.arange(sweeps) / max(1, sweeps - 1)
     betas = config.sa_beta_start * (config.sa_beta_end / config.sa_beta_start) ** exponents
     for beta in betas:
         if time_limit_ms is not None and (time.perf_counter() - start) * 1000 >= time_limit_ms:
             break
-        uniforms = np.stack([g.random(q.dim) for g in gens])[:, perm]
+        uniforms = np.stack([g.random(dim) for g in gens])[:, perm]
         for lo, hi, targets, src, weight in tables:
             flip = 1 - 2 * X[:, lo:hi]
             delta = flip * G[:, lo:hi]
@@ -231,16 +232,21 @@ def _batch_sa(q: QuboMatrix, seeds: Sequence[int], config: SolverConfig):
     return best_energy, best_bits[:, np.argsort(perm)]
 
 
-def _results_from_batch(q: QuboMatrix, seeds, best_bits, tracked_energy=None) -> list[SolveResult]:
-    """Results with energies recomputed from the matrix; they must equal any tracked ones."""
-    energies = energy_many(q, best_bits)
+def _results_from_batch(q: QuboMatrix, seeds, best_bits, tracked_energy=None,
+                        compiled: CompiledQubo | None = None) -> list[SolveResult]:
+    """Results with energies recomputed from the matrix; they must equal any tracked ones.
+
+    Pass q's compiled form when it is at hand, so that a solve compiles the matrix once.
+    """
+    if compiled is None:
+        compiled = q.diag_coupling()
+    energies = compiled.energies(best_bits)
     if tracked_energy is not None and not np.array_equal(energies, tracked_energy):
         raise RuntimeError(f"tracked best energies {tracked_energy.tolist()} differ from "
                            f"recomputed {energies.tolist()}")
     return [
-        SolveResult(bits=tuple(int(b) for b in best_bits[r]), energy=int(energies[r]),
-                    run_index=r, seed_used=seeds[r])
-        for r in range(len(seeds))
+        SolveResult(bits=tuple(bits), energy=energy, run_index=r, seed_used=seeds[r])
+        for r, (bits, energy) in enumerate(zip(best_bits.tolist(), energies.tolist()))
     ]
 
 
@@ -251,13 +257,14 @@ def _run(q: QuboMatrix, config: SolverConfig, seeds: Sequence[int]) -> list[Solv
         return [SolveResult(bits=witness, energy=best_value, run_index=r, seed_used=seed)
                 for r, seed in enumerate(seeds)]
 
+    compiled = q.diag_coupling()
     if config.kind == "random":
         X = np.stack([generator(s).integers(0, 2, size=q.dim, dtype=np.int64) for s in seeds])
-        return _results_from_batch(q, seeds, X)
+        return _results_from_batch(q, seeds, X, compiled=compiled)
 
     sampler = _batch_tabu if config.kind == "tabu" else _batch_sa
-    best_energy, best_bits = sampler(q, seeds, config)
-    return _results_from_batch(q, seeds, best_bits, best_energy)
+    best_energy, best_bits = sampler(compiled, seeds, config)
+    return _results_from_batch(q, seeds, best_bits, best_energy, compiled)
 
 
 def tabu_search(q: QuboMatrix, iteration_limit: int, tenure: int, seed: int,
@@ -293,4 +300,4 @@ def random_baseline(formula: CnfFormula, k: int, seed: int) -> list[tuple[tuple[
         raise ValueError("k must be >= 1")
     X = generator(seed).integers(0, 2, size=(k, formula.num_vars), dtype=np.int64)
     counts = count_satisfied_many(formula, X)
-    return [(tuple(int(b) for b in X[r]), int(counts[r])) for r in range(k)]
+    return list(zip(map(tuple, X.tolist()), counts.tolist()))

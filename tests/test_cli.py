@@ -137,6 +137,34 @@ def test_solve_rejects_coefficients_beyond_exact_int64(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: coefficient magnitudes sum to")
 
 
+_DEEP_CNF = "".join(["c deep\np cnf 4 400\n", "1 2 3 0\n-1 2 -4 0\n" * 150, "1 2 x 0\n",
+                     "-2 -3 -4 0\n" * 99])
+_DEEP_QUBO = "".join(["p qubo 30 465\n", *(f"{i} {j} 1\n" for i in range(30)
+                                             for j in range(i, 30) if (i, j) != (12, 20)),
+                      "12 19 1\n"])
+
+
+@pytest.mark.parametrize("command, name, text, message", [
+    (["transform", "--method", "nuesslein"], "huge.cnf",
+     "p cnf 3 1\n1 2 -100000000000000000000000 0\n",
+     "error: variable 100000000000000000000000 exceeds declared num_vars=3\n"),
+    (["solve", "--solver", "tabu", "--iter", "5"], "huge.qubo",
+     "p qubo 2 2\n0 0 100000000000000000000000000\n0 1 -1\n",
+     "error: coefficient magnitudes sum to 100000000000000000000000001, at or above 2^62"),
+    (["transform", "--method", "fullapprox"], "deep.cnf", _DEEP_CNF,
+     "error: line 303: non-integer clause token\n"),
+    (["solve", "--solver", "brute"], "deep.qubo", _DEEP_QUBO,
+     "error: line 466: duplicate entry (12, 19)\n"),
+], ids=["literal-beyond-int64", "coefficient-beyond-int64", "deep-cnf-token", "deep-qubo-entry"])
+def test_bad_input_files_give_an_error_line(tmp_path, capsys, command, name, text, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(command + ["--in", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("solver, flags, ignored", [
     ("sa", ["--iter", "5", "--tenure", "3", "--sweeps", "2"], "--iter --tenure"),
     ("tabu", ["--sweeps", "7", "--beta-start", "3"], "--sweeps --beta-start"),

@@ -1,6 +1,7 @@
 """Formula parsing, clause classification, balanced generation, brute-force oracle."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,32 @@ def test_parse_rejects_repeated_variable():
 def test_parse_errors(text, match):
     with pytest.raises(ValueError, match=match):
         parse_dimacs(text)
+
+
+def _deep_dimacs_lines():
+    """A 502-line DIMACS file: a comment, the header, then clause k on line k + 2."""
+    return write_dimacs(generate_balanced(145, 500, 3), comments=["seed=3"]).splitlines()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("12 x -7 0", "line 400: non-integer clause token"),
+    ("12 -7 1.5 0", "line 400: non-integer clause token"),
+    ("12 -7 0", "clause 398 has 2 literals, expected 3"),
+    ("12 -7 5 9 0", "clause 398 has 4 literals, expected 3"),
+    ("12 -146 5 0", "variable 146 exceeds declared num_vars=145"),
+    ("p cnf 145 500", "line 400: duplicate problem header"),
+], ids=["letter", "fraction", "two-literals", "four-literals", "out-of-range", "header"])
+def test_parse_errors_deep_in_a_large_file(line, message):
+    lines = _deep_dimacs_lines()
+    lines[399] = line
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_dimacs("\n".join(lines) + "\n")
+
+
+def test_parse_literal_beyond_int64_is_out_of_range():
+    huge = 10 ** 23
+    with pytest.raises(ValueError, match=f"^variable {huge} exceeds declared num_vars=3$"):
+        parse_dimacs(f"p cnf 3 2\n1 2 3 0\n1 -{huge} 3 0\n")
 
 
 def test_write_canonical():

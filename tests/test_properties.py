@@ -1,12 +1,16 @@
 """Property tests: vectorized kernels agree with the exact Python-int energy, text
-formats round-trip, and batch solves equal single runs."""
+formats round-trip, batch solves equal single runs, and the generator keeps its
+reference selection."""
+
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxsat_qubo.formula import Clause, CnfFormula, Literal, parse_dimacs, write_dimacs
+from maxsat_qubo.formula import (Clause, CnfFormula, Literal, generate_balanced, parse_dimacs,
+                                 write_dimacs)
 from maxsat_qubo.pattern_search import search_3x3
 from maxsat_qubo.qubo import (EXACT_INT64_BOUND, QuboMatrix, VariableLayout, energy,
                               energy_many, parse_qubo, write_qubo)
@@ -140,6 +144,85 @@ def formulas(draw):
         st.booleans(), min_size=3, max_size=3)).map(lambda pair: Clause(tuple(
             Literal(v, n) for v, n in zip(pair[0][:3], pair[1]))))
     return CnfFormula(num_vars, tuple(draw(st.lists(clause, max_size=12))))
+
+
+def _reference_balanced(num_vars, num_clauses, seed):
+    """The balanced generator with its original full-sort selection, and its restart count.
+
+    Each clause takes the first three variables of np.lexsort((jitter, occurrences)) for a
+    fresh permutation jitter, each literal its variable's rarer polarity (a seeded coin on
+    ties), and a duplicate clause is redrawn up to 200 times; an attempt that stays stuck
+    restarts from mix(seed, 0xBA1A, restart). Returns (None, 50) when every attempt sticks.
+    """
+    for restart in range(50):
+        rng = generator(seed if restart == 0 else mix(seed, 0xBA1A, restart))
+        occurrences = np.zeros(num_vars, dtype=np.int64)
+        positive = np.zeros(num_vars, dtype=np.int64)
+        negative = np.zeros(num_vars, dtype=np.int64)
+        seen, clauses = set(), []
+        for _ in range(num_clauses):
+            for _ in range(200):
+                order = np.lexsort((rng.permutation(num_vars), occurrences))
+                lits = []
+                for v in order[:3].tolist():
+                    if positive[v] != negative[v]:
+                        neg = bool(positive[v] > negative[v])
+                    else:
+                        neg = bool(rng.integers(0, 2))
+                    lits.append((v, neg))
+                key = tuple(sorted(lits))
+                if key not in seen:
+                    break
+            else:
+                break
+            seen.add(key)
+            for v, neg in lits:
+                occurrences[v] += 1
+                if neg:
+                    negative[v] += 1
+                else:
+                    positive[v] += 1
+            clauses.append(Clause(tuple(Literal(v + 1, neg) for v, neg in lits)))
+        else:
+            return CnfFormula(num_vars, tuple(clauses)), restart
+    return None, 50
+
+
+def _assert_generator_matches_reference(num_vars, num_clauses, seed):
+    reference, restarts = _reference_balanced(num_vars, num_clauses, seed)
+    if reference is None:
+        with pytest.raises(ValueError, match="unsatisfiable"):
+            generate_balanced(num_vars, num_clauses, seed)
+    else:
+        assert generate_balanced(num_vars, num_clauses, seed) == reference
+    return restarts
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_generator_matches_reference_selection(data):
+    num_vars = data.draw(st.integers(3, 12))
+    # past 8 clauses at n=3 every attempt sticks; the restart cases below cover that
+    num_clauses = data.draw(st.integers(0, 8 if num_vars == 3 else 24))
+    _assert_generator_matches_reference(num_vars, num_clauses,
+                                        data.draw(st.integers(0, 2 ** 64 - 1)))
+
+
+# these seeds restart once, twice or three times; (3, 9) has only 8 distinct
+# clauses to offer, so every one of the 50 attempts sticks
+@pytest.mark.parametrize("num_vars, num_clauses, seed, restarts", [
+    (4, 8, 17, 2), (4, 16, 1, 1), (4, 16, 18, 2), (4, 16, 16, 3), (5, 10, 10, 1), (3, 9, 0, 50),
+])
+def test_generator_matches_reference_through_restarts(num_vars, num_clauses, seed, restarts):
+    assert _assert_generator_matches_reference(num_vars, num_clauses, seed) == restarts
+
+
+def test_generator_output_at_scale_is_pinned():
+    seed = mix(1, 1, 0)
+    assert seed == 6301985355436268297
+    text = write_dimacs(generate_balanced(1390, 5000, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "6accadf577ac107f0cf5884a26023f1300362c6cb6b1dc2a0e4296c3b5474aba"
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,6 +1,7 @@
 """Energies, aux minimization, brute-force minima, pruning, and QUBO text format."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -286,3 +287,31 @@ def test_qubo_text_roundtrip_with_layout():
 def test_qubo_text_errors(text, match):
     with pytest.raises(ValueError, match=match):
         parse_qubo(text)
+
+
+def _deep_qubo_lines():
+    """A 1,701-line QUBO file: the header, then entries on lines 2 to 1701."""
+    return write_qubo(random_qubo(200, 1500, 5)).splitlines()
+
+
+@pytest.mark.parametrize("replace, message", [
+    (lambda lines: "3 x 1", "line 1500: non-integer field in '3 x 1'"),
+    (lambda lines: " 3   4 ", "line 1500: expected 'i j coeff', got '3   4'"),
+    (lambda lines: "3 4 5 6", "line 1500: expected 'i j coeff', got '3 4 5 6'"),
+    (lambda lines: lines[1498], "line 1500: duplicate entry ({}, {})"),
+], ids=["non-integer", "two-fields", "four-fields", "duplicate"])
+def test_qubo_text_errors_deep_in_a_large_file_name_the_line(replace, message):
+    lines = _deep_qubo_lines()
+    lines[1499] = replace(lines)
+    message = message.format(*lines[1498].split()[:2])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_qubo("\n".join(lines) + "\n")
+
+
+def test_qubo_text_keeps_coefficients_beyond_int64_exact():
+    big = 10 ** 26
+    q = QuboMatrix(3, {(0, 0): big, (0, 2): -big - 7, (1, 1): 1})
+    text = write_qubo(q)
+    assert text == "p qubo 3 3\n0 0 100000000000000000000000000\n" \
+        "0 2 -100000000000000000000000007\n1 1 1\n"
+    assert parse_qubo(text) == (q, None)
