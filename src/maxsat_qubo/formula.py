@@ -84,11 +84,11 @@ class CnfFormula:
 
     @cached_property
     def clause_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (m, 3) arrays of 0-based variable indices and negation flags."""
-        pairs = [[(lit.variable - 1, lit.negated) for lit in clause.literals]
-                 for clause in self.clauses]
-        table = np.array(pairs, dtype=np.int64).reshape(len(self.clauses), 3, 2)
-        variables, negated = table[:, :, 0].copy(), table[:, :, 1].astype(bool)
+        """Read-only (m, 3) arrays of 0-based variable indices and negation flags, in each
+        clause's canonical order (see classify_clause): a row's negation count is its type."""
+        canonical = [classify_clause(clause) for clause in self.clauses]
+        variables = np.array([order for _, order in canonical], dtype=np.int64).reshape(-1, 3) - 1
+        negated = np.arange(3) >= 3 - np.array([t for t, _ in canonical], dtype=np.int64)[:, None]
         variables.setflags(write=False)
         negated.setflags(write=False)
         return variables, negated

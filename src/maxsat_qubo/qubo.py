@@ -38,11 +38,6 @@ class QuboMatrix:
             checked[(i, j)] = value
         object.__setattr__(self, "entries", checked)
 
-    @classmethod
-    def from_accumulated(cls, dim: int, accumulated: Entries) -> "QuboMatrix":
-        """Build a matrix from summed coefficients, dropping exact cancellations."""
-        return cls(dim, {k: v for k, v in accumulated.items() if v != 0})
-
     def diag_coupling(self) -> "CompiledQubo":
         """The compiled form that every vectorized energy and solver path uses.
 

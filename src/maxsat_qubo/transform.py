@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .formula import CnfFormula, classify_clause
+from .formula import CnfFormula
 from .qubo import EXACT_INT64_BOUND, QuboMatrix, VariableLayout, read_triplets, write_triplets
 
 EXACT_ALL_7 = "exact-all-7"
@@ -77,6 +77,10 @@ class ClausePattern:
     def uses_aux(self) -> bool:
         return self.dim == 4
 
+    @property
+    def row(self) -> list[int]:
+        return [self.coefficients.get(key, 0) for key in SLOT_ORDERS[self.dim]]
+
 
 @dataclass(frozen=True)
 class TransformSpec:
@@ -138,7 +142,7 @@ def meets_criterion(energies: np.ndarray, clause_type: int, criterion: str) -> n
 
 def pattern_energies(pattern: ClausePattern) -> np.ndarray:
     """Energies of the 8 variable triples, minimizing over the aux bit for 4x4 patterns."""
-    row = [pattern.coefficients.get(key, 0) for key in SLOT_ORDERS[pattern.dim]]
+    row = pattern.row
     if sum(map(abs, row)) >= EXACT_INT64_BOUND:
         raise ValueError("pattern coefficient magnitudes sum to 2^62 or more")
     return triple_energies(np.array([row], dtype=np.int64), pattern.dim)[0]
@@ -264,20 +268,24 @@ def builtin_spec(name: str) -> TransformSpec:
     return TransformSpec(name, patterns)
 
 
-def _sum_patterns(formula: CnfFormula, dim: int, choose) -> QuboMatrix:
-    """Sum the pattern choose(clause_type, order) of each clause into a dim x dim matrix;
-    slots 0..2 are the clause's canonical variables, slot 3 clause l's aux bit n + l."""
-    accumulated: dict[tuple[int, int], int] = {}
-    for ci, clause in enumerate(formula.clauses):
-        clause_type, order = classify_clause(clause)
-        slots = [v - 1 for v in order] + [formula.num_vars + ci]
-        for (i, j), value in choose(clause_type, order).coefficients.items():
-            a, b = slots[i], slots[j]
-            if a > b:  # measured faster than min/max in this hot loop
-                a, b = b, a
-            key = (a, b)
-            accumulated[key] = accumulated.get(key, 0) + value
-    return QuboMatrix.from_accumulated(dim, accumulated)
+def _sum_patterns(formula: CnfFormula, dim: int, patterns: Sequence[ClausePattern],
+                  choice: np.ndarray) -> QuboMatrix:
+    """Sum patterns[choice[l]] over the clauses l into a dim x dim matrix (slots 0..2: clause
+    l's canonical variables, 3: its aux bit n + l); ValueError for magnitudes that could wrap."""
+    rows = [pattern.row for pattern in patterns]
+    magnitudes = [sum(map(abs, row)) for row in rows]
+    uses = np.bincount(choice, minlength=len(rows)).tolist()
+    if max(magnitudes + [sum(w * u for w, u in zip(magnitudes, uses))]) >= EXACT_INT64_BOUND:
+        raise ValueError("coefficient magnitudes sum to 2^62 or more; int64 sums could wrap")
+    slots = np.c_[formula.clause_arrays[0], formula.num_vars + np.arange(len(choice))]
+    keys = (np.sort(slots[:, SLOT_ORDERS[patterns[0].dim]], axis=2) @ (dim, 1)).ravel()
+    order = np.argsort(keys)
+    keys, starts = np.unique(keys[order], return_index=True)
+    sums = np.add.reduceat(np.array(rows, dtype=np.int64)[choice].ravel()[order], starts)
+    keys, sums = keys[sums != 0].tolist(), sums[sums != 0].tolist()
+    del slots, order, starts  # free the int64 temporaries before the dict is built
+    index = list(range(dim))  # entry keys share one int object per index
+    return QuboMatrix(dim, {(index[k // dim], index[k % dim]): v for k, v in zip(keys, sums)})
 
 
 def assemble(formula: CnfFormula, spec: TransformSpec) -> tuple[QuboMatrix, VariableLayout]:
@@ -288,14 +296,14 @@ def assemble(formula: CnfFormula, spec: TransformSpec) -> tuple[QuboMatrix, Vari
     that cancel to zero are not stored.
     """
     n, m = formula.num_vars, formula.num_clauses
-    matrix = _sum_patterns(formula, n + m if spec.uses_aux else n,
-                           lambda clause_type, order: spec.patterns[clause_type])
+    matrix = _sum_patterns(formula, n + m if spec.uses_aux else n, spec.patterns,
+                           formula.clause_arrays[1].sum(axis=1))
     return matrix, VariableLayout(n, tuple(range(m)) if spec.uses_aux else ())
 
 
 def approximate_with_hint(formula: CnfFormula, hint: Sequence[int],
                           approx_sets: Sequence[Sequence[ClausePattern]]) -> QuboMatrix:
-    """Assemble a 3x3-pattern approximation in which the hint stays optimal.
+    """Assemble a 3x3-pattern approximation in which the 0/1 hint stays optimal.
 
     Every clause the hint satisfies gets the first pattern from its type's
     list whose minima include the hint's restriction; clauses the hint
@@ -304,27 +312,29 @@ def approximate_with_hint(formula: CnfFormula, hint: Sequence[int],
     """
     if len(hint) != formula.num_vars:
         raise ValueError(f"hint length {len(hint)} != num_vars {formula.num_vars}")
+    bad = next((index for index, bit in enumerate(hint) if bit not in (0, 1)), None)
+    if bad is not None:
+        raise ValueError(f"hint entry {bad} is {hint[bad]!r}, expected 0 or 1")
     if len(approx_sets) != 4:
         raise ValueError("approx_sets must hold one pattern list per clause type")
-    choices: list[dict] = []  # per type: satisfying triple -> first pattern with it at minimum
+    flat, table = [], []  # table: per type and triple, the index into flat of the pattern to use
     for clause_type, patterns in enumerate(approx_sets):
         if not patterns:
             raise ValueError(f"no approximation patterns for clause type {clause_type}")
         if any(p.dim != 3 for p in patterns):
             raise ValueError("hint-preserving assembly expects 3x3 patterns")
         _, witnesses = coverage_check(patterns, clause_type)
-        choices.append(dict(zip(satisfying_triples(clause_type), witnesses)))
-        missing = [t for t, w in choices[-1].items() if w is None]
+        choices = dict(zip(satisfying_triples(clause_type), witnesses))
+        missing = [t for t, w in choices.items() if w is None]
         if missing:
             raise ValueError(
                 f"clause type {clause_type} patterns do not cover satisfying triples {missing}"
             )
-
-    def choose(clause_type, order):
-        triple = tuple(int(hint[v - 1]) for v in order)
-        return approx_sets[clause_type][choices[clause_type].get(triple, 0)]
-
-    return _sum_patterns(formula, formula.num_vars, choose)
+        table.append([len(flat) + choices.get(triple, 0) for triple in TRIPLES])
+        flat += patterns
+    variables, negated = formula.clause_arrays
+    hinted = np.asarray(hint, dtype=np.int64)[variables] @ (4, 2, 1)  # index into TRIPLES
+    return _sum_patterns(formula, formula.num_vars, flat, np.array(table)[negated.sum(1), hinted])
 
 
 def decode(bits: Sequence[int], layout: VariableLayout) -> tuple[int, ...]:

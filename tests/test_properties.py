@@ -1,16 +1,16 @@
 """Property tests: vectorized kernels agree with the exact Python-int energy, text
-formats round-trip, batch solves equal single runs, and the generator keeps its
-reference selection."""
+formats round-trip, batch solves equal single runs, and the generator and assembly keep
+their reference results."""
 
 import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maxsat_qubo.formula import (Clause, CnfFormula, Literal, generate_balanced, parse_dimacs,
-                                 write_dimacs)
+from maxsat_qubo.formula import (Clause, CnfFormula, Literal, classify_clause, clause_of,
+                                 generate_balanced, parse_dimacs, write_dimacs)
 from maxsat_qubo.pattern_search import search_3x3
 from maxsat_qubo.qubo import (EXACT_INT64_BOUND, QuboMatrix, VariableLayout, energy,
                               energy_many, parse_qubo, write_qubo)
@@ -18,8 +18,9 @@ from maxsat_qubo.rng import generator, mix
 from maxsat_qubo.solvers import (SolverConfig, energy_gains, simulated_annealing, solve,
                                  tabu_search)
 from maxsat_qubo.transform import (APPROX_6_OF_7, BUILTIN_SPEC_NAMES, EXACT_ALL_7, TRIPLES,
-                                   ClausePattern, builtin_spec, parse_pattern, pattern_energies,
-                                   verify_pattern, write_pattern)
+                                   ClausePattern, TransformSpec, approximate_with_hint, assemble,
+                                   builtin_spec, parse_pattern, pattern_energies, verify_pattern,
+                                   write_pattern)
 
 SHAPES = ("random", "diagonal", "star", "dim1")
 COEFFS = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 55), 2 ** 55)).filter(bool)
@@ -223,6 +224,102 @@ def test_generator_output_at_scale_is_pinned():
     text = write_dimacs(generate_balanced(1390, 5000, seed))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "6accadf577ac107f0cf5884a26023f1300362c6cb6b1dc2a0e4296c3b5474aba"
+
+
+@pytest.mark.parametrize("name, dim, count, digest", [
+    ("fullapprox", 1390, 15948,
+     "436b039a4df449cca8fd90ee5ce718f22f7d2d33a8958470385e5750ceb44ceb"),
+    ("nuesslein", 6390, 25639,
+     "3f31c33c7cbefb6fa4e31c323179b10fdeaf7a0a12aaceeac4c3b6f385100416"),
+], ids=["fullapprox", "nuesslein"])
+def test_qubo_output_at_scale_is_pinned(name, dim, count, digest):
+    matrix, layout = assemble(generate_balanced(1390, 5000, mix(1, 1, 0)), builtin_spec(name))
+    assert (matrix.dim, len(matrix.entries)) == (dim, count)
+    assert hashlib.sha256(write_qubo(matrix, layout).encode()).hexdigest() == digest
+
+
+def _reference_sum(formula, dim, choose):
+    """The per-clause assembly loop written out in Python ints: the pattern choose(type,
+    order) of each clause added entry by entry onto its canonical variables, slot 3 on
+    the clause's aux bit n + l; entries that cancel are dropped."""
+    accumulated = {}
+    for index, clause in enumerate(formula.clauses):
+        clause_type, order = classify_clause(clause)
+        slots = [v - 1 for v in order] + [formula.num_vars + index]
+        for (i, j), value in choose(clause_type, order).coefficients.items():
+            key = tuple(sorted((slots[i], slots[j])))
+            accumulated[key] = accumulated.get(key, 0) + value
+    assert all(0 <= i <= j < dim for i, j in accumulated)
+    return {key: value for key, value in accumulated.items() if value}
+
+
+# under fullapprox, the type-1 clause cancels three of the type-0 clause's entries
+CANCELLING = CnfFormula(3, (clause_of(1, 2, 3), clause_of(1, 2, -3)))
+APPROX_SETS = [search_3x3((-1, 0, 1), t, APPROX_6_OF_7) for t in range(4)]
+# per clause type, per pattern, the triples at the pattern's minimum
+APPROX_MINIMA = [[{t for t, v in zip(TRIPLES, _reference_energies(p)) if v == min(
+    _reference_energies(p))} for p in patterns] for patterns in APPROX_SETS]
+
+
+@pytest.mark.parametrize("name", BUILTIN_SPEC_NAMES)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(formula=formulas())
+@example(formula=CnfFormula(3, ()))
+@example(formula=CANCELLING)
+def test_assembly_matches_per_clause_reference(name, formula):
+    spec = builtin_spec(name)
+    matrix, layout = assemble(formula, spec)
+    assert matrix.dim == layout.dim == formula.num_vars + (
+        formula.num_clauses if spec.uses_aux else 0)
+    assert matrix.entries == _reference_sum(formula, matrix.dim,
+                                            lambda clause_type, order: spec.patterns[clause_type])
+    variables, negated = formula.clause_arrays
+    for clause, slots, flags in zip(formula.clauses, variables.tolist(), negated.tolist()):
+        clause_type, order = classify_clause(clause)
+        assert slots == [v - 1 for v in order]
+        assert flags == [False] * (3 - clause_type) + [True] * clause_type
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(formula=formulas(), bits=st.lists(st.integers(0, 1), min_size=12, max_size=12))
+@example(formula=CnfFormula(3, ()), bits=[0] * 12)
+@example(formula=CANCELLING, bits=[1, 1, 0] + [0] * 9)
+def test_hint_assembly_matches_per_clause_reference(formula, bits):
+    hint = tuple(bits[:formula.num_vars])
+
+    def choose(clause_type, order):
+        # the first pattern with the hint's triple at its minimum; a falsifying triple
+        # takes the first pattern
+        triple = tuple(hint[v - 1] for v in order)
+        falsifying = (0,) * (3 - clause_type) + (1,) * clause_type
+        return next((pattern for pattern, minima in zip(APPROX_SETS[clause_type],
+                                                        APPROX_MINIMA[clause_type])
+                     if triple != falsifying and triple in minima), APPROX_SETS[clause_type][0])
+
+    matrix = approximate_with_hint(formula, hint, APPROX_SETS)
+    assert matrix.entries == _reference_sum(formula, formula.num_vars, choose)
+
+
+def test_assembly_refuses_inexact_sums():
+    formula = CnfFormula(3, (clause_of(1, 2, 3), clause_of(1, 2, -3)))
+    small = ClausePattern(3, {(0, 0): -1})
+
+    def spec(type0, type1, type3=small):
+        return TransformSpec("edge", (ClausePattern(3, type0), ClausePattern(3, type1), small,
+                                      type3))
+
+    # both clauses land on (0, 0): magnitudes 2^61 + (2^61 - 1) sum to 2^62 - 1
+    matrix, _ = assemble(formula, spec({(0, 0): 2 ** 61}, {(0, 0): 2 ** 61 - 1}))
+    assert matrix.entries == {(0, 0): EXACT_INT64_BOUND - 1}
+    assert matrix.diag_coupling().diag.tolist() == [EXACT_INT64_BOUND - 1, 0, 0]
+    with pytest.raises(ValueError, match="2\\^62"):
+        assemble(formula, spec({(0, 0): 2 ** 61}, {(0, 0): 2 ** 61}))
+    # magnitudes count even where the signed sum cancels
+    with pytest.raises(ValueError, match="2\\^62"):
+        assemble(formula, spec({(0, 0): 2 ** 61}, {(0, 0): -(2 ** 61)}))
+    # no clause is of type 3, and its pattern does not fit in int64
+    with pytest.raises(ValueError, match="2\\^62"):
+        assemble(formula, spec({(0, 0): 1}, {(0, 0): 1}, ClausePattern(3, {(0, 0): 2 ** 70})))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -286,6 +286,17 @@ def test_hint_construction_rejects_bad_pattern_lists(clause_type, patterns, matc
         approximate_with_hint(formula, (1, 1, 1), approx_sets)
 
 
+@pytest.mark.parametrize("hint, match", [
+    ((1, 1), "hint length 2 != num_vars 3"),
+    ((0, 0, 2), "hint entry 2 is 2, expected 0 or 1"),
+    ((0, -1, 1), "hint entry 1 is -1, expected 0 or 1"),
+])
+def test_hint_construction_rejects_bad_hints(hint, match):
+    formula = CnfFormula(3, (clause_of(1, 2, 3),))
+    with pytest.raises(ValueError, match=match):
+        approximate_with_hint(formula, hint, _canonical_approx_sets())
+
+
 def test_decode():
     layout = VariableLayout(3, (0, 1))
     assert decode((1, 0, 0, 1, 1), layout) == (1, 0, 0)
