@@ -2,9 +2,7 @@
 pruning, and seed-deterministic classical samplers."""
 
 from .formula import (
-    Clause,
     CnfFormula,
-    Literal,
     brute_force_maxsat,
     classify_clause,
     clause_of,

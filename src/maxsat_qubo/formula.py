@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -15,67 +16,26 @@ _CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
-class Literal:
-    variable: int
-    negated: bool = False
-
-    def __post_init__(self):
-        if self.variable < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.variable}")
-
-    @classmethod
-    def from_dimacs(cls, lit: int) -> "Literal":
-        if lit == 0:
-            raise ValueError("0 is not a DIMACS literal")
-        return cls(abs(lit), lit < 0)
-
-    def to_dimacs(self) -> int:
-        return -self.variable if self.negated else self.variable
-
-    def value(self, bits: Sequence[int]) -> bool:
-        v = bool(bits[self.variable - 1])
-        return (not v) if self.negated else v
-
-
-@dataclass(frozen=True)
-class Clause:
-    literals: tuple[Literal, Literal, Literal]
-
-    def __post_init__(self):
-        lits = tuple(self.literals)
-        if len(lits) != 3:
-            raise ValueError(f"a clause needs exactly 3 literals, got {len(lits)}")
-        x, y, z = lits
-        if x.variable == y.variable or x.variable == z.variable or y.variable == z.variable:
-            raise ValueError("clause variables must be pairwise distinct: "
-                             f"{[x.variable, y.variable, z.variable]}")
-        object.__setattr__(self, "literals", lits)
-
-    @classmethod
-    def from_dimacs(cls, lits: Iterable[int]) -> "Clause":
-        return cls(tuple(Literal.from_dimacs(l) for l in lits))
-
-    def variables(self) -> tuple[int, int, int]:
-        x, y, z = self.literals
-        return x.variable, y.variable, z.variable
-
-    def is_satisfied(self, bits: Sequence[int]) -> bool:
-        return any(lit.value(bits) for lit in self.literals)
-
-
-@dataclass(frozen=True)
 class CnfFormula:
+    """A 3SAT formula. Each clause is a triple of signed DIMACS literals, in file order:
+    3 is x3 and -3 is its negation. clause_arrays is their cached numpy view."""
     num_vars: int
-    clauses: tuple[Clause, ...]
+    clauses: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
         if self.num_vars < 1:
             raise ValueError("num_vars must be positive")
-        clauses = tuple(self.clauses)
+        clauses = tuple(tuple(map(operator.index, clause)) for clause in self.clauses)
         for clause in clauses:
-            worst = max(clause.variables())
-            if worst > self.num_vars:
-                raise ValueError(f"variable {worst} exceeds num_vars={self.num_vars}")
+            if len(clause) != 3:
+                raise ValueError(f"a clause needs exactly 3 literals, got {len(clause)}")
+            low, middle, high = sorted(map(abs, clause))
+            if low == 0:
+                raise ValueError(f"0 is not a DIMACS literal: {list(clause)}")
+            if high > self.num_vars:
+                raise ValueError(f"variable {high} exceeds declared num_vars={self.num_vars}")
+            if low == middle or middle == high:
+                raise ValueError(f"clause variables must be pairwise distinct: {list(clause)}")
         object.__setattr__(self, "clauses", clauses)
 
     @property
@@ -94,9 +54,10 @@ class CnfFormula:
         return variables, negated
 
 
-def clause_of(*lits: int) -> Clause:
-    """Build a clause from DIMACS-style signed integers, e.g. clause_of(1, 2, -3)."""
-    return Clause.from_dimacs(lits)
+def clause_of(*lits: int) -> tuple[int, ...]:
+    """A clause from DIMACS-style signed integers, e.g. clause_of(1, 2, -3); CnfFormula
+    validates it."""
+    return lits
 
 
 def parse_dimacs(text: str) -> CnfFormula:
@@ -130,47 +91,37 @@ def parse_dimacs(text: str) -> CnfFormula:
     if num_vars is None:
         raise ValueError("missing 'p cnf' header")
 
-    # one Literal per distinct signed literal, range-checked when first seen
-    literals: dict[int, Literal] = {}
     clauses = []
     start = 0
     for end in [index for index, tok in enumerate(tokens) if tok == 0]:
         if end - start != 3:
             raise ValueError(f"clause {len(clauses) + 1} has {end - start} literals, expected 3")
-        lits = []
-        for tok in tokens[start:end]:
-            lit = literals.get(tok)
-            if lit is None:
-                if abs(tok) > num_vars:
-                    raise ValueError(f"variable {abs(tok)} exceeds declared num_vars={num_vars}")
-                lit = literals[tok] = Literal.from_dimacs(tok)
-            lits.append(lit)
-        clauses.append(Clause(tuple(lits)))
+        clauses.append(tuple(tokens[start:end]))
         start = end + 1
+    formula = CnfFormula(num_vars, tuple(clauses))
     if start != len(tokens):
         raise ValueError("unterminated clause (missing trailing 0)")
     if len(clauses) != num_clauses:
         raise ValueError(f"header declares {num_clauses} clauses but {len(clauses)} were read")
-    return CnfFormula(num_vars, tuple(clauses))
+    return formula
 
 
 def write_dimacs(formula: CnfFormula, comments: Sequence[str] = ()) -> str:
     """Serialize a formula to DIMACS CNF; parse_dimacs(write_dimacs(f)) == f."""
     head = "".join(f"c {comment}\n" for comment in comments)
-    signed = [lit.to_dimacs() for clause in formula.clauses for lit in clause.literals]
-    body = "".join(map("{} {} {} 0\n".format, signed[0::3], signed[1::3], signed[2::3]))
+    body = "".join(["{} {} {} 0\n".format(*clause) for clause in formula.clauses])
     return f"{head}p cnf {formula.num_vars} {formula.num_clauses}\n{body}"
 
 
-def classify_clause(clause: Clause) -> tuple[int, tuple[int, int, int]]:
+def classify_clause(clause: tuple[int, int, int]) -> tuple[int, tuple[int, int, int]]:
     """Clause type (number of negations) and canonical variable order.
 
     Non-negated variables come first, negated ones last, each group keeping
     the clause's own literal order. Pattern tables are written for clauses in
     this canonical shape.
     """
-    plain = [lit.variable for lit in clause.literals if not lit.negated]
-    negated = [lit.variable for lit in clause.literals if lit.negated]
+    plain = [lit for lit in clause if lit > 0]
+    negated = [-lit for lit in clause if lit < 0]
     return len(negated), tuple(plain + negated)
 
 
@@ -192,7 +143,8 @@ def count_satisfied(formula: CnfFormula, bits: Sequence[int]) -> int:
     """Number of clauses with at least one true literal under the assignment."""
     if len(bits) != formula.num_vars:
         raise ValueError(f"assignment length {len(bits)} != num_vars {formula.num_vars}")
-    return sum(1 for clause in formula.clauses if clause.is_satisfied(bits))
+    return sum(any(bool(bits[abs(lit) - 1]) == (lit > 0) for lit in clause)
+               for clause in formula.clauses)
 
 
 def count_satisfied_many(formula: CnfFormula, bits_rows: np.ndarray) -> np.ndarray:
@@ -212,12 +164,11 @@ class _GeneratorStuck(Exception):
 
 
 def _balanced_attempt(num_vars: int, num_clauses: int,
-                      rng: np.random.Generator) -> tuple[Clause, ...]:
+                      rng: np.random.Generator) -> tuple[tuple[int, int, int], ...]:
     scaled_occurrences = np.zeros(num_vars, dtype=np.int64)  # occurrences * num_vars
-    positive, negative = [0] * num_vars, [0] * num_vars
-    literals = [(Literal(v), Literal(v, True)) for v in range(1, num_vars + 1)]
-    seen: set[tuple[tuple[int, bool], ...]] = set()
-    clauses: list[Clause] = []
+    polarity = [0] * num_vars  # positive minus negative occurrences
+    seen: set[tuple[int, ...]] = set()
+    clauses: list[tuple[int, ...]] = []
     max_redraws = 200
     for _ in range(num_clauses):
         for _ in range(max_redraws):
@@ -228,28 +179,25 @@ def _balanced_attempt(num_vars: int, num_clauses: int,
             rank += scaled_occurrences
             least = rank.argpartition(2)[:3]
             chosen = least[rank[least].argsort()].tolist()
-            lits = []
+            clause = []
             for v in chosen:
-                if positive[v] < negative[v]:
+                if polarity[v] < 0:
                     neg = False
-                elif negative[v] < positive[v]:
+                elif polarity[v] > 0:
                     neg = True
                 else:
                     neg = bool(rng.integers(0, 2))
-                lits.append((v, neg))
-            key = tuple(sorted(lits))
+                clause.append(-v - 1 if neg else v + 1)
+            key = tuple(sorted(clause))
             if key not in seen:
                 break
         else:
             raise _GeneratorStuck(len(clauses) + 1)
         seen.add(key)
         scaled_occurrences[chosen] += num_vars
-        for v, neg in lits:
-            if neg:
-                negative[v] += 1
-            else:
-                positive[v] += 1
-        clauses.append(Clause(tuple(literals[v][neg] for v, neg in lits)))
+        for v, lit in zip(chosen, clause):
+            polarity[v] += 1 if lit > 0 else -1
+        clauses.append(tuple(clause))
     return tuple(clauses)
 
 

@@ -55,6 +55,10 @@ class ExperimentConfig:
         # a repeated name would merge two methods' records into one summary row
         if len(set(self.transforms)) != len(self.transforms):
             raise ValueError(f"transforms repeat a name: {list(self.transforms)}")
+        for spec in map(builtin_spec, self.transforms):
+            if self.kind == "pruning_sweep" and not spec.uses_aux:
+                raise ValueError("pruning sweep needs aux-based transformations, "
+                                 f"{spec.name} is 3x3")
         if self.solver.seed != 0:
             raise ValueError("solver seed must be left at 0: every run seed derives from "
                              "the experiment seed")
@@ -132,17 +136,11 @@ def run_pruning_sweep(config: ExperimentConfig) -> tuple[list[RunRecord], list[S
     formula, transformation and stage but not on the strategy, so the fully
     pruned stage (identical matrices) yields identical records.
     """
-    specs = []
-    for name in config.transforms:
-        spec = builtin_spec(name)
-        if not spec.uses_aux:
-            raise ValueError(f"pruning sweep needs aux-based transformations, {name} is 3x3")
-        specs.append(spec)
     records: list[RunRecord] = []
     for formula_id in range(config.count):
         formula = _formula_for(config, formula_id)
-        for ti, (name, spec) in enumerate(zip(config.transforms, specs)):
-            matrix, _ = assemble(formula, spec)
+        for ti, name in enumerate(config.transforms):
+            matrix, _ = assemble(formula, builtin_spec(name))
             for strategy in ("min", "random"):
                 stages = pruning_schedule(matrix, strategy, mix(config.seed, 2, formula_id, ti))
                 for stage in stages:

@@ -7,6 +7,7 @@ derived seed, so results are identical to running the samples one at a time.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, fields
@@ -76,8 +77,9 @@ class SolverConfig:
             raise ValueError("tabu_tenure must be positive")
         if self.sa_sweeps < 0:
             raise ValueError("sa_sweeps must be non-negative")
-        if not 0 < self.sa_beta_start < self.sa_beta_end:
-            raise ValueError("need 0 < sa_beta_start < sa_beta_end")
+        # an infinite beta turns the accept test's -beta * 0 into NaN
+        if not 0 < self.sa_beta_start < self.sa_beta_end < math.inf:
+            raise ValueError("need 0 < sa_beta_start < sa_beta_end < inf")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from maxsat_qubo.formula import Clause, CnfFormula, Literal, count_satisfied, parse_dimacs
+from maxsat_qubo.formula import CnfFormula, count_satisfied, parse_dimacs
 from maxsat_qubo.qubo import QuboMatrix
 from maxsat_qubo.rng import generator
 
@@ -48,8 +48,7 @@ def random_formula(num_vars, num_clauses, seed):
     for _ in range(num_clauses):
         variables = rng.choice(num_vars, size=3, replace=False) + 1
         negated = rng.integers(0, 2, size=3)
-        clauses.append(Clause(tuple(
-            Literal(int(v), bool(n)) for v, n in zip(variables, negated))))
+        clauses.append(tuple(-int(v) if n else int(v) for v, n in zip(variables, negated)))
     return CnfFormula(num_vars, tuple(clauses))
 
 
@@ -61,11 +60,11 @@ def planted_formula(num_vars, num_clauses, seed):
     for _ in range(num_clauses):
         variables = rng.choice(num_vars, size=3, replace=False) + 1
         negated = [bool(n) for n in rng.integers(0, 2, size=3)]
-        lits = [Literal(int(v), n) for v, n in zip(variables, negated)]
-        if not any(lit.value(witness) for lit in lits):
+        lits = [-int(v) if n else int(v) for v, n in zip(variables, negated)]
+        if not any(bool(witness[abs(lit) - 1]) == (lit > 0) for lit in lits):
             fix = int(rng.integers(0, 3))
-            lits[fix] = Literal(lits[fix].variable, not lits[fix].negated)
-        clauses.append(Clause(tuple(lits)))
+            lits[fix] = -lits[fix]
+        clauses.append(tuple(lits))
     formula = CnfFormula(num_vars, tuple(clauses))
     assert count_satisfied(formula, witness) == num_clauses
     return formula, witness

@@ -181,6 +181,17 @@ def test_solve_rejects_flags_its_solver_ignores(tmp_path, capsys, solver, flags,
     assert not results_path.exists()
 
 
+def test_solve_rejects_an_infinite_beta(tmp_path, capsys):
+    qubo_path = tmp_path / "small.qubo"
+    qubo_path.write_text("p qubo 2 1\n0 0 -1\n", encoding="utf-8")
+    results_path = tmp_path / "r.jsonl"
+    assert main(["solve", "--solver", "sa", "--sweeps", "20", "--beta-end", "inf",
+                 "--in", str(qubo_path), "--out", str(results_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "beta" in err
+    assert not results_path.exists()
+
+
 def test_solve_accepts_its_solver_flags_and_reports_batch_time(tmp_path, capsys):
     qubo_path = tmp_path / "small.qubo"
     qubo_path.write_text("p qubo 2 1\n0 0 -1\n", encoding="utf-8")

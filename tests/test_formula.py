@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 
 from maxsat_qubo.formula import (
-    Clause,
     CnfFormula,
-    Literal,
     brute_force_maxsat,
     classify_clause,
     clause_of,
@@ -29,14 +27,14 @@ def test_parse_single_positive_clause():
     formula = parse_dimacs("p cnf 3 1\n1 2 3 0")
     assert formula.num_vars == 3
     assert formula.num_clauses == 1
-    assert formula.clauses[0].variables() == (1, 2, 3)
-    assert not any(lit.negated for lit in formula.clauses[0].literals)
+    assert formula.clauses == ((1, 2, 3),)
 
 
 def test_parse_example_formula():
     formula = parse_dimacs(EXAMPLE1_TEXT)
     assert formula.num_vars == 3
-    assert [lit.to_dimacs() for lit in formula.clauses[1].literals] == [1, 2, -3]
+    assert formula.clauses == ((1, 2, 3), (1, 2, -3))
+    assert all(type(lit) is int for clause in formula.clauses for lit in clause)
 
 
 def test_parse_rejects_repeated_variable():
@@ -147,7 +145,7 @@ def test_count_satisfied_complements_all_false_clauses():
         rng = generator(seed + 100)
         bits = tuple(int(b) for b in rng.integers(0, 2, size=7))
         all_false = sum(
-            1 for cl in formula.clauses if not any(lit.value(bits) for lit in cl.literals))
+            1 for cl in formula.clauses if not any(bits[abs(lit) - 1] == (lit > 0) for lit in cl))
         assert count_satisfied(formula, bits) == formula.num_clauses - all_false
 
 
@@ -161,7 +159,7 @@ def test_count_satisfied_many_matches_scalar():
 
 def test_generate_balanced_small():
     formula = generate_balanced(3, 1, seed=7)
-    assert set(formula.clauses[0].variables()) == {1, 2, 3}
+    assert set(map(abs, formula.clauses[0])) == {1, 2, 3}
 
 
 def test_generate_balanced_rejects_too_few_vars():
@@ -181,15 +179,15 @@ def test_generate_balanced_properties(num_vars, num_clauses, seed):
     negative = np.zeros(num_vars, dtype=int)
     seen = set()
     for clause in formula.clauses:
-        key = tuple(sorted((lit.variable, lit.negated) for lit in clause.literals))
+        key = tuple(sorted(clause))
         assert key not in seen, "duplicate clause"
         seen.add(key)
-        for lit in clause.literals:
-            occurrences[lit.variable - 1] += 1
-            if lit.negated:
-                negative[lit.variable - 1] += 1
+        for lit in clause:
+            occurrences[abs(lit) - 1] += 1
+            if lit < 0:
+                negative[-lit - 1] += 1
             else:
-                positive[lit.variable - 1] += 1
+                positive[lit - 1] += 1
     assert occurrences.max() - occurrences.min() <= 1
     assert np.abs(positive - negative).max() <= 1
 
@@ -231,9 +229,19 @@ def test_brute_force_maxsat_dominates_random_assignments():
 
 
 def test_literal_and_clause_validation():
-    with pytest.raises(ValueError):
-        Literal(0)
-    with pytest.raises(ValueError):
-        Clause((Literal(1), Literal(2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="0 is not a DIMACS literal"):
+        CnfFormula(3, (clause_of(1, 0, 3),))
+    with pytest.raises(ValueError, match="exactly 3 literals, got 2"):
+        CnfFormula(3, (clause_of(1, 2),))
+    with pytest.raises(ValueError, match="^variable 3 exceeds declared num_vars=2$"):
         CnfFormula(2, (clause_of(1, 2, 3),))
+    with pytest.raises(ValueError, match="distinct"):
+        CnfFormula(3, (clause_of(1, -1, 3),))
+    with pytest.raises(TypeError):
+        CnfFormula(3, (clause_of(1, 2.0, 3),))
+    with pytest.raises(ValueError, match=f"^variable {10 ** 23} exceeds"):
+        CnfFormula(3, ((1, 2, -10 ** 23),))
+    # numpy integers are stored as Python ints
+    formula = CnfFormula(3, (tuple(np.array([1, -2, 3])),))
+    assert formula.clauses == ((1, -2, 3),)
+    assert all(type(lit) is int for lit in formula.clauses[0])

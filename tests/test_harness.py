@@ -82,6 +82,18 @@ def test_config_validation():
                                     "num_clauses": 5, "seed": 0,
                                     "transforms": ["nuesslein", "nuesslein"],
                                     "solver": {"kind": "sa"}})
+    # transform names are checked when the config is built, before any formula is solved
+    with pytest.raises(ValueError, match="unknown transformation 'bogus'"):
+        ExperimentConfig.from_dict({"kind": "comparison", "count": 1, "num_vars": 5,
+                                    "num_clauses": 5, "seed": 0,
+                                    "transforms": ["fullapprox", "bogus"],
+                                    "solver": {"kind": "sa"}})
+    with pytest.raises(ValueError, match="^pruning sweep needs aux-based transformations, "
+                                         "fullapprox is 3x3$"):
+        ExperimentConfig.from_dict({"kind": "pruning_sweep", "count": 1, "num_vars": 5,
+                                    "num_clauses": 5, "seed": 0,
+                                    "transforms": ["nuesslein", "fullapprox"],
+                                    "solver": {"kind": "sa"}})
 
 
 def test_config_roundtrip():
@@ -90,9 +102,8 @@ def test_config_roundtrip():
 
 
 def test_pruning_sweep_requires_aux_spec():
-    config = _sa_config(kind="pruning_sweep", transforms=("fullapprox",))
     with pytest.raises(ValueError, match="aux"):
-        run_pruning_sweep(config)
+        _sa_config(kind="pruning_sweep", transforms=("fullapprox",))
 
 
 def test_pruning_sweep_structure_and_stage_anchors():

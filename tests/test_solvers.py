@@ -1,5 +1,7 @@
 """Sampler correctness: exact deltas, determinism, incumbent tracking, budgets."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,11 @@ def test_config_validation():
         SolverConfig(kind="tabu", samples=0)
     with pytest.raises(ValueError, match="beta"):
         SolverConfig(kind="sa", sa_beta_start=5.0, sa_beta_end=1.0)
+    # an infinite beta would make the accept test's -beta * 0 NaN
+    with pytest.raises(ValueError, match="sa_beta_end < inf"):
+        SolverConfig(kind="sa", sa_beta_end=math.inf)
+    with pytest.raises(ValueError, match="beta"):
+        SolverConfig(kind="sa", sa_beta_start=math.nan)
     with pytest.raises(ValueError, match="time_limit"):
         SolverConfig(kind="tabu", time_limit_ms=0)
 
