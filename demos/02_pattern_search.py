@@ -36,9 +36,7 @@ for clause_type in range(4):
 
 print("\ntype-0 approximations (diagonal then couplings):")
 for pattern in per_type[0]:
-    row = [pattern.coefficients.get(key, 0)
-           for key in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))]
-    print(f"  {row}")
+    print(f"  {pattern.row}")
 
 print("\n4x4 exact search over {-2..2} (aux slot absorbs the cubic term):")
 found = search_4x4((-2, -1, 0, 1, 2), 0)

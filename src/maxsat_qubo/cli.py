@@ -78,7 +78,6 @@ def _cmd_solve(args) -> int:
                 raise ValueError(
                     f"QUBO dim {matrix.dim} != formula vars {formula.num_vars} "
                     "and the file carries no aux layout")
-            layout = qubo.VariableLayout(formula.num_vars)
         elif layout.num_problem_vars != formula.num_vars:
             raise ValueError(f"layout problem vars {layout.num_problem_vars} != "
                              f"formula vars {formula.num_vars}")

@@ -152,8 +152,6 @@ def count_satisfied_many(formula: CnfFormula, bits_rows: np.ndarray) -> np.ndarr
     rows = np.asarray(bits_rows, dtype=bool)
     if rows.ndim != 2 or rows.shape[1] != formula.num_vars:
         raise ValueError(f"expected shape (k, {formula.num_vars}), got {rows.shape}")
-    if formula.num_clauses == 0:
-        return np.zeros(rows.shape[0], dtype=np.int64)
     variables, negated = formula.clause_arrays
     truth = rows[:, variables] ^ negated[None, :, :]
     return truth.any(axis=2).sum(axis=1).astype(np.int64)

@@ -265,12 +265,6 @@ def make_timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
 
 
-def _format_value(value: int | float) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def records_to_jsonl(records: Sequence[RunRecord]) -> str:
     lines = []
     for r in records:
@@ -281,44 +275,12 @@ def records_to_jsonl(records: Sequence[RunRecord]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def parse_records(text: str) -> list[RunRecord]:
-    records = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        data = json.loads(line)
-        records.append(RunRecord(formula_id=data["formula"], method=data["method"],
-                                 sample=data["sample"], satisfied=data["satisfied"],
-                                 energy=data["energy"], seed=data["seed"]))
-    return records
-
-
-_SUMMARY_HEADER = "kind,method,other,formula,value"
-
-
 def summary_to_csv(summary: Sequence[SummaryRow]) -> str:
-    lines = [_SUMMARY_HEADER]
+    lines = ["kind,method,other,formula,value"]
     for row in summary:
         formula = "" if row.formula_id is None else str(row.formula_id)
-        lines.append(f"{row.kind},{row.method},{row.other},{formula},{_format_value(row.value)}")
+        lines.append(f"{row.kind},{row.method},{row.other},{formula},{row.value}")
     return "".join(line + "\n" for line in lines)
-
-
-def parse_summary(text: str) -> list[SummaryRow]:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != _SUMMARY_HEADER:
-        raise ValueError("missing summary header row")
-    rows = []
-    for line in lines[1:]:
-        kind, method, other, formula, value = line.split(",")
-        try:
-            parsed: int | float = int(value)
-        except ValueError:
-            parsed = float(value)
-        rows.append(SummaryRow(kind=kind, method=method, other=other,
-                               formula_id=int(formula) if formula else None,
-                               value=parsed))
-    return rows
 
 
 def write_text(path: str, content: str) -> None:

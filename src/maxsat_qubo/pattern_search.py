@@ -13,9 +13,9 @@ from .formula import CnfFormula
 from .qubo import EXACT_INT64_BOUND
 from .rng import mix
 from .solvers import satisfied_counts, solve
-from .transform import (APPROX_6_OF_7, EXACT_ALL_7, SLOT_ORDERS, ClausePattern,
-                        TransformSpec, assemble, coverage_check, meets_criterion,
-                        triple_energies)
+# coverage_check is read from here too, next to the searches whose results it checks
+from .transform import (EXACT_ALL_7, SLOT_ORDERS, ClausePattern, TransformSpec, assemble,
+                        coverage_check, meets_criterion, triple_energies)
 
 MAX_4X4_CANDIDATES = 10 ** 8
 _CHUNK = 1 << 18
@@ -112,22 +112,3 @@ def select_best_combination(formula: CnfFormula, specs: Sequence[TransformSpec],
         scores.append(int(satisfied_counts(formula, results).max()))
     best_index = max(range(len(specs)), key=lambda i: (scores[i], -i))
     return specs[best_index], scores
-
-
-def approximation_census(values) -> dict:
-    """Per-type approx-6-of-7 pattern counts with coverage and discrepancy flags."""
-    vals = _as_values(values)
-    counts = []
-    covered = []
-    for clause_type in range(4):
-        patterns = search_3x3(vals, clause_type, APPROX_6_OF_7)
-        counts.append(len(patterns))
-        covered.append(coverage_check(patterns, clause_type)[0])
-    census = {"values": list(vals), "counts": counts, "covered": covered}
-    if tuple(vals) == CANONICAL_VALUES:
-        census["expected_count"] = CANONICAL_PATTERNS_PER_TYPE
-        census["discrepancies"] = [
-            clause_type for clause_type, count in enumerate(counts)
-            if count != CANONICAL_PATTERNS_PER_TYPE
-        ]
-    return census

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple, Sequence
@@ -25,17 +26,18 @@ class QuboMatrix:
     entries: Entries
 
     def __post_init__(self):
-        if self.dim < 1:
+        dim, index = operator.index(self.dim), operator.index  # a float raises TypeError
+        if dim < 1:
             raise ValueError("dim must be positive")
         checked: Entries = {}
-        for key, value in self.entries.items():
-            i, j = int(key[0]), int(key[1])
-            if not (0 <= i <= j < self.dim):
-                raise ValueError(f"entry {key} outside upper triangle of dim {self.dim}")
-            value = int(value)
-            if value == 0:
-                raise ValueError(f"entry {key} stores a zero coefficient")
-            checked[(i, j)] = value
+        for (i, j), value in self.entries.items():
+            i, j, value = index(i), index(j), index(value)
+            if not 0 <= i <= j < dim:
+                raise ValueError(f"entry {(i, j)} outside upper triangle of dim {dim}")
+            if not value:
+                raise ValueError(f"entry {(i, j)} stores a zero coefficient")
+            checked[i, j] = value
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "entries", checked)
 
     def diag_coupling(self) -> "CompiledQubo":
@@ -132,9 +134,11 @@ class VariableLayout:
     aux_owners: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.num_problem_vars < 0:
+        num_problem_vars = operator.index(self.num_problem_vars)
+        if num_problem_vars < 0:
             raise ValueError("num_problem_vars must be non-negative")
-        object.__setattr__(self, "aux_owners", tuple(int(c) for c in self.aux_owners))
+        object.__setattr__(self, "num_problem_vars", num_problem_vars)
+        object.__setattr__(self, "aux_owners", tuple(map(operator.index, self.aux_owners)))
 
     @property
     def dim(self) -> int:

@@ -90,13 +90,6 @@ class SolveResult:
     seed_used: int
 
 
-def energy_gains(q: QuboMatrix, bits: Sequence[int]) -> np.ndarray:
-    """Exact energy change from flipping each single bit of the vector."""
-    if len(bits) != q.dim:
-        raise ValueError(f"bit vector length {len(bits)} != dim {q.dim}")
-    return q.diag_coupling().gains(np.asarray([[int(b) for b in bits]], dtype=np.int64))[0]
-
-
 def _initial_states(compiled: CompiledQubo, seeds: Sequence[int]):
     """Seeded random rows with their flip gains D and energies E."""
     gens = [generator(s) for s in seeds]
@@ -234,16 +227,12 @@ def _batch_sa(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConfig
     return best_energy, best_bits[:, np.argsort(perm)]
 
 
-def _results_from_batch(q: QuboMatrix, seeds, best_bits, tracked_energy=None,
-                        compiled: CompiledQubo | None = None) -> list[SolveResult]:
-    """Results with energies recomputed from the matrix; they must equal any tracked ones.
-
-    Pass q's compiled form when it is at hand, so that a solve compiles the matrix once.
-    """
-    if compiled is None:
-        compiled = q.diag_coupling()
+def _results_from_batch(compiled: CompiledQubo, seeds, best_bits,
+                        tracked_energy) -> list[SolveResult]:
+    """Results with energies recomputed from the compiled matrix; they must equal the
+    tracked ones."""
     energies = compiled.energies(best_bits)
-    if tracked_energy is not None and not np.array_equal(energies, tracked_energy):
+    if not np.array_equal(energies, tracked_energy):
         raise RuntimeError(f"tracked best energies {tracked_energy.tolist()} differ from "
                            f"recomputed {energies.tolist()}")
     return [
@@ -261,12 +250,11 @@ def _run(q: QuboMatrix, config: SolverConfig, seeds: Sequence[int]) -> list[Solv
 
     compiled = q.diag_coupling()
     if config.kind == "random":
-        X = np.stack([generator(s).integers(0, 2, size=q.dim, dtype=np.int64) for s in seeds])
-        return _results_from_batch(q, seeds, X, compiled=compiled)
-
-    sampler = _batch_tabu if config.kind == "tabu" else _batch_sa
-    best_energy, best_bits = sampler(compiled, seeds, config)
-    return _results_from_batch(q, seeds, best_bits, best_energy, compiled)
+        _, best_bits, _, best_energy = _initial_states(compiled, seeds)
+    else:
+        sampler = _batch_tabu if config.kind == "tabu" else _batch_sa
+        best_energy, best_bits = sampler(compiled, seeds, config)
+    return _results_from_batch(compiled, seeds, best_bits, best_energy)
 
 
 def tabu_search(q: QuboMatrix, iteration_limit: int, tenure: int, seed: int,

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-import os
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -61,16 +60,17 @@ class ClausePattern:
     coefficients: dict[tuple[int, int], int]
 
     def __post_init__(self):
-        if self.dim not in (3, 4):
-            raise ValueError(f"pattern dim must be 3 or 4, got {self.dim}")
+        dim = operator.index(self.dim)  # a float dim, slot or value raises TypeError
+        if dim not in (3, 4):
+            raise ValueError(f"pattern dim must be 3 or 4, got {dim}")
         checked = {}
-        for key, value in self.coefficients.items():
-            i, j = int(key[0]), int(key[1])
-            if not (0 <= i <= j < self.dim):
-                raise ValueError(f"slot pair {key} outside upper triangle of dim {self.dim}")
-            value = int(value)
+        for (i, j), value in self.coefficients.items():
+            i, j, value = operator.index(i), operator.index(j), operator.index(value)
+            if not 0 <= i <= j < dim:
+                raise ValueError(f"slot pair {(i, j)} outside upper triangle of dim {dim}")
             if value:
-                checked[(i, j)] = value
+                checked[i, j] = value
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "coefficients", checked)
 
     @property
@@ -357,46 +357,3 @@ def parse_pattern(text: str) -> tuple[ClausePattern, int]:
     if clause_type not in (0, 1, 2, 3):
         raise ValueError(f"clause type must be 0..3, got {clause_type}")
     return ClausePattern(dim, coefficients), clause_type
-
-
-_MANIFEST = "manifest.json"
-
-
-def write_spec_bundle(spec: TransformSpec, directory: str) -> None:
-    """Write a spec as four pattern files plus a manifest naming them."""
-    os.makedirs(directory, exist_ok=True)
-    files = {}
-    for clause_type, pattern in enumerate(spec.patterns):
-        filename = f"type{clause_type}.pattern"
-        with open(os.path.join(directory, filename), "w", encoding="utf-8") as fh:
-            fh.write(write_pattern(pattern, clause_type))
-        files[str(clause_type)] = filename
-    manifest = {"name": spec.name, "patterns": files}
-    with open(os.path.join(directory, _MANIFEST), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-
-
-def read_spec_bundle(directory: str) -> TransformSpec:
-    """Load a spec bundle written by write_spec_bundle, ignoring an older manifest's uses_aux."""
-    with open(os.path.join(directory, _MANIFEST), encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{_MANIFEST} is not a JSON object")
-    for key in ("name", "patterns"):
-        if key not in manifest:
-            raise ValueError(f"{_MANIFEST} lacks {key!r}")
-    files = manifest["patterns"]
-    if not isinstance(files, dict):
-        raise ValueError(f"{_MANIFEST} 'patterns' is not an object")
-    patterns = []
-    for clause_type in range(4):
-        if str(clause_type) not in files:
-            raise ValueError(f"{_MANIFEST} 'patterns' lacks clause type {clause_type}")
-        filename = files[str(clause_type)]
-        with open(os.path.join(directory, filename), encoding="utf-8") as fh:
-            pattern, stored_type = parse_pattern(fh.read())
-        if stored_type != clause_type:
-            raise ValueError(f"{filename} stores clause type {stored_type}, expected {clause_type}")
-        patterns.append(pattern)
-    return TransformSpec(manifest["name"], tuple(patterns))

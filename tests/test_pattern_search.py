@@ -10,7 +10,6 @@ from maxsat_qubo.formula import CnfFormula, clause_of, generate_balanced
 from maxsat_qubo.pattern_search import (
     CANONICAL_PATTERNS_PER_TYPE,
     CANONICAL_VALUES,
-    approximation_census,
     coverage_check,
     enumerate_combinations,
     search_3x3,
@@ -187,10 +186,3 @@ def test_calibration_rejects_a_solver_seed_it_would_override():
     config = SolverConfig(kind="brute", samples=1, seed=987654)
     with pytest.raises(ValueError, match="solver seed must be left at 0"):
         select_best_combination(formula, enumerate_combinations(per_type), config, seed=1)
-
-
-def test_approximation_census_canonical():
-    census = approximation_census(CANONICAL_VALUES)
-    assert census["counts"] == [4, 4, 4, 4]
-    assert census["covered"] == [True, True, True, True]
-    assert census["discrepancies"] == []

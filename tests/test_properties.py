@@ -15,8 +15,7 @@ from maxsat_qubo.pattern_search import search_3x3
 from maxsat_qubo.qubo import (EXACT_INT64_BOUND, QuboMatrix, VariableLayout, energy,
                               energy_many, parse_qubo, write_qubo)
 from maxsat_qubo.rng import generator, mix
-from maxsat_qubo.solvers import (SolverConfig, energy_gains, simulated_annealing, solve,
-                                 tabu_search)
+from maxsat_qubo.solvers import SolverConfig, simulated_annealing, solve, tabu_search
 from maxsat_qubo.transform import (APPROX_6_OF_7, BUILTIN_SPEC_NAMES, EXACT_ALL_7, TRIPLES,
                                    ClausePattern, TransformSpec, approximate_with_hint, assemble,
                                    builtin_spec, parse_pattern, pattern_energies, verify_pattern,
@@ -69,7 +68,7 @@ def test_energy_gains_equal_flip_differences(shape, data):
     q, rows = data.draw(matrices(shape))
     for bits in rows.tolist():
         before = energy(q, bits)
-        gains = energy_gains(q, bits)
+        gains = q.diag_coupling().gains(np.asarray([bits], dtype=np.int64))[0]
         for i in range(q.dim):
             flipped = list(bits)
             flipped[i] ^= 1
@@ -86,7 +85,7 @@ def test_compiled_form_refuses_inexact_sums():
     with pytest.raises(ValueError, match="2\\^62"):
         energy_many(over, ones)
     with pytest.raises(ValueError, match="2\\^62"):
-        energy_gains(over, (1, 0))
+        over.diag_coupling()
     # the exact scalar energy has no bound
     assert energy(QuboMatrix(1, {(0, 0): 3 * 2 ** 61}), (1,)) == 3 * 2 ** 61
 

@@ -39,6 +39,13 @@ def test_matrix_validation():
         QuboMatrix(2, {(1, 0): 1})
     with pytest.raises(ValueError, match="triangle"):
         QuboMatrix(2, {(0, 2): 1})
+    # a float index or coefficient is refused, not truncated
+    with pytest.raises(TypeError):
+        QuboMatrix(2, {(0, 1): 2.7})
+    with pytest.raises(TypeError):
+        QuboMatrix(2, {(0, 1.0): 1})
+    with pytest.raises(TypeError):
+        QuboMatrix(2.5, {(0, 1): 1})
 
 
 def test_energy_examples(approx_type0_matrix, combined_example_matrix):

@@ -11,7 +11,6 @@ from maxsat_qubo.rng import generator, mix
 from maxsat_qubo.solvers import (
     SolverConfig,
     _results_from_batch,
-    energy_gains,
     random_baseline,
     satisfied_counts,
     simulated_annealing,
@@ -92,7 +91,7 @@ def test_energy_gains_match_flip_differences():
         q = random_qubo(dim, int(rng.integers(0, dim * (dim - 1) // 2 + 1)),
                         int(rng.integers(0, 2**31)))
         bits = [int(b) for b in rng.integers(0, 2, size=dim)]
-        gains = energy_gains(q, bits)
+        gains = q.diag_coupling().gains(np.asarray([bits], dtype=np.int64))[0]
         before = energy(q, bits)
         for i in range(dim):
             flipped = list(bits)
@@ -240,9 +239,10 @@ def test_results_energy_reverifies_and_incumbent_monotone():
 def test_results_reject_tracked_energy_mismatch():
     q = random_qubo(5, 6, 2)
     zeros = np.zeros((2, 5), dtype=np.int64)
-    assert [r.energy for r in _results_from_batch(q, [0, 1], zeros, np.zeros(2))] == [0, 0]
+    compiled = q.diag_coupling()
+    assert [r.energy for r in _results_from_batch(compiled, [0, 1], zeros, np.zeros(2))] == [0, 0]
     with pytest.raises(RuntimeError, match="tracked"):
-        _results_from_batch(q, [0, 1], zeros, np.array([0, 1]))
+        _results_from_batch(compiled, [0, 1], zeros, np.array([0, 1]))
 
 
 def test_tabu_budget_scaling_never_hurts():

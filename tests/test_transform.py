@@ -1,7 +1,5 @@
 """Built-in pattern tables, verification, repair, assembly, hint construction, decoding."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -23,10 +21,8 @@ from maxsat_qubo.transform import (
     parse_pattern,
     pattern_energies,
     pattern_minima,
-    read_spec_bundle,
     verify_pattern,
     write_pattern,
-    write_spec_bundle,
 )
 from maxsat_qubo.pattern_search import search_3x3
 
@@ -85,6 +81,9 @@ def test_verify_fullapprox_type1_approx():
 
 
 def test_all_builtin_verification_profile():
+    for name in BUILTIN_SPEC_NAMES:
+        spec = builtin_spec(name)
+        assert spec.uses_aux == (spec.patterns[0].dim == 4)
     printed = builtin_spec("chancellor_printed")
     expected = {0: True, 1: False, 2: False, 3: True}
     for t in range(4):
@@ -303,6 +302,11 @@ def test_decode():
     assert decode((1, 0, 1), VariableLayout(3)) == (1, 0, 1)
     with pytest.raises(ValueError, match="length"):
         decode((1, 0), layout)
+    # a float owner or problem-variable count is refused, not truncated
+    with pytest.raises(TypeError):
+        VariableLayout(2, (1.5,))
+    with pytest.raises(TypeError):
+        VariableLayout(2.5)
 
 
 def test_pattern_file_roundtrip():
@@ -325,43 +329,17 @@ def test_pattern_text_errors(text, match):
         parse_pattern(text)
 
 
-def test_spec_bundle_roundtrip(tmp_path):
-    for name in BUILTIN_SPEC_NAMES:
-        spec = builtin_spec(name)
-        assert spec.uses_aux == (spec.patterns[0].dim == 4)
-        write_spec_bundle(spec, str(tmp_path / name))
-        assert read_spec_bundle(str(tmp_path / name)) == spec
-    # a manifest that still carries the old uses_aux key loads the same spec
-    manifest_path = tmp_path / "nuesslein" / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    assert "uses_aux" not in manifest
-    manifest["uses_aux"] = True
-    manifest_path.write_text(json.dumps(manifest))
-    assert read_spec_bundle(str(tmp_path / "nuesslein")) == builtin_spec("nuesslein")
-
-
-@pytest.mark.parametrize("edit, match", [
-    (lambda m: m.pop("name"), "lacks 'name'"),
-    (lambda m: m.pop("patterns"), "lacks 'patterns'"),
-    (lambda m: m.update(patterns=["type0.pattern"]), "'patterns' is not an object"),
-    (lambda m: m["patterns"].pop("0"), "lacks clause type 0"),
-    (lambda m: m["patterns"].pop("3"), "lacks clause type 3"),
-])
-def test_spec_bundle_manifest_errors(tmp_path, edit, match):
-    write_spec_bundle(builtin_spec("nuesslein"), str(tmp_path))
-    manifest_path = tmp_path / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    edit(manifest)
-    manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=match):
-        read_spec_bundle(str(tmp_path))
-    manifest_path.write_text("[]")
-    with pytest.raises(ValueError, match="not a JSON object"):
-        read_spec_bundle(str(tmp_path))
-
-
 def test_transform_spec_validation():
     p3 = builtin_spec("fullapprox").patterns[0]
     p4 = builtin_spec("nuesslein").patterns[0]
     with pytest.raises(ValueError, match="dimensions"):
         TransformSpec("mixed", (p3, p3, p3, p4))
+    # a float slot or coefficient is refused, not truncated or dropped
+    with pytest.raises(TypeError):
+        ClausePattern(3, {(0, 1): 0.5})
+    with pytest.raises(TypeError):
+        ClausePattern(3, {(0, 1): 2.7})
+    with pytest.raises(TypeError):
+        ClausePattern(3, {(0.0, 1): 1})
+    with pytest.raises(TypeError):
+        ClausePattern(3.0, {(0, 1): 1})
