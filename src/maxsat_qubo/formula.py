@@ -23,7 +23,8 @@ class CnfFormula:
     clauses: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if self.num_vars < 1:
+        num_vars = operator.index(self.num_vars)
+        if num_vars < 1:
             raise ValueError("num_vars must be positive")
         clauses = tuple(tuple(map(operator.index, clause)) for clause in self.clauses)
         for clause in clauses:
@@ -32,10 +33,11 @@ class CnfFormula:
             low, middle, high = sorted(map(abs, clause))
             if low == 0:
                 raise ValueError(f"0 is not a DIMACS literal: {list(clause)}")
-            if high > self.num_vars:
-                raise ValueError(f"variable {high} exceeds declared num_vars={self.num_vars}")
+            if high > num_vars:
+                raise ValueError(f"variable {high} exceeds declared num_vars={num_vars}")
             if low == middle or middle == high:
                 raise ValueError(f"clause variables must be pairwise distinct: {list(clause)}")
+        object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "clauses", clauses)
 
     @property

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +28,8 @@ SOLVER_OPTIONS = {
 }
 SOLVER_KINDS = tuple(SOLVER_OPTIONS)
 _OPTION_FIELDS = tuple(dict.fromkeys(name for names in SOLVER_OPTIONS.values() for name in names))
+# what an SA config leaves out; every other kind must leave these fields None
+_SA_DEFAULTS = {"sa_sweeps": 1000, "sa_beta_start": 0.1, "sa_beta_end": 10.0}
 
 _BIG = np.int64(1) << 62
 
@@ -48,23 +50,27 @@ class SolverConfig:
     iteration_limit: int | None = None
     time_limit_ms: int | None = None
     tabu_tenure: int | None = None
-    sa_beta_start: float = 0.1
-    sa_beta_end: float = 10.0
-    sa_sweeps: int = 1000
+    sa_beta_start: float | None = None
+    sa_beta_end: float | None = None
+    sa_sweeps: int | None = None
 
     def __post_init__(self):
         if self.kind not in SOLVER_KINDS:
             raise ValueError(f"unknown solver kind {self.kind!r}, expected one of {SOLVER_KINDS}")
+        if self.kind == "sa":
+            for name, default in _SA_DEFAULTS.items():
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, default)
         require_integers(self, [name for name in ("samples", "seed", "iteration_limit",
                                                   "time_limit_ms", "tabu_tenure", "sa_sweeps")
                                 if getattr(self, name) is not None])
         for name in ("sa_beta_start", "sa_beta_end"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            if value is not None and (not isinstance(value, numbers.Real)
+                                      or isinstance(value, bool)):
                 raise TypeError(f"{name} must be a real number, got {value!r}")
-        defaults = {field.name: field.default for field in fields(self)}
         ignored = [name for name in _OPTION_FIELDS if name not in SOLVER_OPTIONS[self.kind]
-                   and getattr(self, name) != defaults[name]]
+                   and getattr(self, name) is not None]
         if ignored:
             raise ValueError(f"solver {self.kind} ignores {' '.join(ignored)}")
         if self.samples < 1:
@@ -75,11 +81,12 @@ class SolverConfig:
             raise ValueError("time_limit_ms must be positive")
         if self.tabu_tenure is not None and self.tabu_tenure < 1:
             raise ValueError("tabu_tenure must be positive")
-        if self.sa_sweeps < 0:
-            raise ValueError("sa_sweeps must be non-negative")
-        # an infinite beta turns the accept test's -beta * 0 into NaN
-        if not 0 < self.sa_beta_start < self.sa_beta_end < math.inf:
-            raise ValueError("need 0 < sa_beta_start < sa_beta_end < inf")
+        if self.kind == "sa":
+            if self.sa_sweeps < 0:
+                raise ValueError("sa_sweeps must be non-negative")
+            # an infinite beta turns the accept test's -beta * 0 into NaN
+            if not 0 < self.sa_beta_start < self.sa_beta_end < math.inf:
+                raise ValueError("need 0 < sa_beta_start < sa_beta_end < inf")
 
 
 @dataclass(frozen=True)
@@ -105,8 +112,8 @@ def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConf
     still flip if it strictly improves the row's incumbent best (aspiration), and a row
     whose every bit is tabu ignores the list. The flip gains D = (1 - 2X)·G are carried,
     not rebuilt: a flip negates its bit's gain and updates its neighbours', O(k·width)
-    per iteration. SA keeps the fields G instead, updated once per colour class (see
-    _batch_sa).
+    per iteration. SA carries nothing: each colour class reads its fields from the rows
+    (see _batch_sa).
     """
     start, time_limit_ms = time.perf_counter(), config.time_limit_ms
     dim = len(compiled.diag)
@@ -148,83 +155,49 @@ def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConf
     return best_energy, best_bits
 
 
-def _class_tables(compiled: CompiledQubo):
-    """Bits renumbered class by class, with each class's field-update table.
-
-    Returns the permutation (position -> bit) that lays the colour classes out
-    contiguously, and per class its position range [lo, hi), the positions of the bits
-    with a neighbour in the class, and a padded (targets, width) table of those
-    neighbours' positions and weights. Padding points at position dim, a column of
-    signed flips that is always 0.
-    """
-    classes = compiled.colour_classes()
-    dim = len(compiled.diag)
-    perm = np.concatenate(classes)
-    position = np.empty(dim, dtype=np.int64)
-    position[perm] = np.arange(dim)
-    bounds = np.cumsum([0] + [len(c) for c in classes])
-    colour = np.repeat(np.arange(len(classes)), np.diff(bounds))
-    rows, slots = np.nonzero(np.arange(compiled.idx.shape[1]) < compiled.degree[:, None])
-    src, target = position[rows], position[compiled.idx[rows, slots]]
-    # one sort lays the couplings out by (source class, target); a target is one table row
-    order = np.argsort(colour[src] * dim + target, kind="stable")
-    src, target, weight = src[order], target[order], compiled.weight[rows, slots][order]
-    parts = np.searchsorted(colour[src], np.arange(len(classes) + 1))
-    tables = []
-    for c in range(len(classes)):
-        part = slice(parts[c], parts[c + 1])
-        targets, row, count = np.unique(target[part], return_inverse=True, return_counts=True)
-        slot = np.arange(row.size) - (np.cumsum(count) - count)[row]
-        table = np.full((targets.size, count.max(initial=0)), dim, dtype=np.int64)
-        weights = np.zeros(table.shape, dtype=np.int64)
-        table[row, slot] = src[part]
-        weights[row, slot] = weight[part]
-        tables.append((bounds[c], bounds[c + 1], targets, table, weights))
-    return perm, tables
-
-
 def _batch_sa(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConfig):
     """Lockstep Metropolis annealing on a geometric beta schedule, one colour class at a time.
 
     A sweep visits the colour classes of compiled.colour_classes() in order. Bits of one
-    class share no coupling, so each bit's flip difference and accept decision
-    (u < exp(-beta * max(delta, 0)), u drawn per bit per sweep) is made on the
-    class-start state and all accepted flips apply together. The fields G are updated
-    once per class and the best state is tracked after each class.
+    class share no coupling, so each bit's local field is read from the class-start state,
+    and its flip difference and accept decision (u < exp(-beta * max(delta, 0)), u drawn
+    per bit per sweep) are made on that state; all accepted flips apply together and the
+    best state is tracked after each class.
     """
     start, time_limit_ms, sweeps = time.perf_counter(), config.time_limit_ms, config.sa_sweeps
     dim = len(compiled.diag)
-    gens, X, D, E = _initial_states(compiled, seeds)
-    if sweeps == 0:
-        return E, X
-    perm, tables = _class_tables(compiled)
-    # state in class order, so each class is a contiguous slice; F holds the signed flips.
-    # Fields, not carried gains: a field update needs no read of the target bits.
-    X, G = X[:, perm], ((1 - 2 * X) * D)[:, perm]
-    F = np.zeros((len(seeds), dim + 1), dtype=np.int64)
+    gens, X, _, E = _initial_states(compiled, seeds)
     best_energy, best_bits = E.copy(), X.copy()
+    # per class, its bits' neighbour lists end to end, split at starts. reduceat reads an
+    # empty segment as the next element, so a bit without neighbours keeps one slot: the
+    # appended column, on itself with weight 0.
+    idx = np.column_stack([compiled.idx, np.arange(dim)])
+    weight = np.column_stack([compiled.weight, np.zeros(dim, dtype=np.int64)])
+    slots = np.maximum(compiled.degree, 1)
+    classes = []
+    for members in compiled.colour_classes():
+        kept = np.arange(idx.shape[1]) < slots[members, None]
+        starts = np.cumsum(slots[members]) - slots[members]
+        classes.append((members, compiled.diag[members], idx[members][kept],
+                        weight[members][kept], starts))
     exponents = np.arange(sweeps) / max(1, sweeps - 1)
     betas = config.sa_beta_start * (config.sa_beta_end / config.sa_beta_start) ** exponents
     for beta in betas:
         if time_limit_ms is not None and (time.perf_counter() - start) * 1000 >= time_limit_ms:
             break
-        uniforms = np.stack([g.random(dim) for g in gens])[:, perm]
-        for lo, hi, targets, src, weight in tables:
-            flip = 1 - 2 * X[:, lo:hi]
-            delta = flip * G[:, lo:hi]
+        uniforms = np.stack([g.random(dim) for g in gens])
+        for members, diag, nbrs, nbr_weight, starts in classes:
+            flip = 1 - 2 * X[:, members]
+            delta = flip * (diag + np.add.reduceat(X[:, nbrs] * nbr_weight, starts, axis=1))
             # uniforms lie in [0, 1) and a downhill move's threshold is exp(0) = 1
-            accepted = uniforms[:, lo:hi] < np.exp(-beta * np.maximum(delta, 0))
-            sign = F[:, lo:hi]
-            np.multiply(flip, accepted, out=sign)
-            X[:, lo:hi] += sign
-            E += (sign * G[:, lo:hi]).sum(axis=1)
-            if targets.size:
-                G[:, targets] += (F[:, src] * weight).sum(axis=2)
+            accepted = uniforms[:, members] < np.exp(-beta * np.maximum(delta, 0))
+            X[:, members] += flip * accepted
+            E += (delta * accepted).sum(axis=1)
             improved = E < best_energy
             if improved.any():
                 best_energy[improved] = E[improved]
                 best_bits[improved] = X[improved]
-    return best_energy, best_bits[:, np.argsort(perm)]
+    return best_energy, best_bits
 
 
 def _results_from_batch(compiled: CompiledQubo, seeds, best_bits,

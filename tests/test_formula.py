@@ -239,9 +239,12 @@ def test_literal_and_clause_validation():
         CnfFormula(3, (clause_of(1, -1, 3),))
     with pytest.raises(TypeError):
         CnfFormula(3, (clause_of(1, 2.0, 3),))
+    with pytest.raises(TypeError):
+        CnfFormula(3.5, ((1, 2, -3),))
     with pytest.raises(ValueError, match=f"^variable {10 ** 23} exceeds"):
         CnfFormula(3, ((1, 2, -10 ** 23),))
     # numpy integers are stored as Python ints
     formula = CnfFormula(3, (tuple(np.array([1, -2, 3])),))
     assert formula.clauses == ((1, -2, 3),)
     assert all(type(lit) is int for lit in formula.clauses[0])
+    assert type(CnfFormula(np.int64(3), formula.clauses).num_vars) is int

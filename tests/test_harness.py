@@ -68,6 +68,10 @@ def test_config_validation():
         ExperimentConfig.from_dict({"kind": "comparison", "count": 1, "num_vars": 5,
                                     "num_clauses": 5, "seed": 0, "transforms": ["nuesslein"],
                                     "solver": {"kind": "tabu", "sa_sweeps": 7}})
+    with pytest.raises(ValueError, match="solver tabu ignores sa_sweeps"):
+        ExperimentConfig.from_dict({"kind": "comparison", "count": 1, "num_vars": 5,
+                                    "num_clauses": 5, "seed": 0, "transforms": ["nuesslein"],
+                                    "solver": {"kind": "tabu", "sa_sweeps": 1000}})
     with pytest.raises(ValueError, match="byte-reproducibility"):
         ExperimentConfig.from_dict({"kind": "comparison", "count": 1, "num_vars": 5,
                                     "num_clauses": 5, "seed": 0, "transforms": ["nuesslein"],

@@ -13,7 +13,7 @@ from maxsat_qubo.formula import (CnfFormula, classify_clause, clause_of, generat
                                  parse_dimacs, write_dimacs)
 from maxsat_qubo.pattern_search import search_3x3
 from maxsat_qubo.qubo import (EXACT_INT64_BOUND, QuboMatrix, VariableLayout, energy,
-                              energy_many, parse_qubo, write_qubo)
+                              energy_many, parse_qubo, pruning_schedule, write_qubo)
 from maxsat_qubo.rng import generator, mix
 from maxsat_qubo.solvers import SolverConfig, simulated_annealing, solve, tabu_search
 from maxsat_qubo.transform import (APPROX_6_OF_7, BUILTIN_SPEC_NAMES, EXACT_ALL_7, TRIPLES,
@@ -241,6 +241,25 @@ def test_qubo_output_at_scale_is_pinned(name, dim, count, digest):
     matrix, layout = assemble(generate_balanced(1390, 5000, mix(1, 1, 0)), builtin_spec(name))
     assert (matrix.dim, len(matrix.entries)) == (dim, count)
     assert hashlib.sha256(write_qubo(matrix, layout).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, num_vars, num_clauses, stages, digest", [
+    ("nuesslein", 58, 200, 11,
+     "257159889662090301472b4709e0faa5f5b25a532b31f844b3d03f8e57e977b1"),
+    ("chancellor_repaired", 145, 500, 1,
+     "eec4e001492c787dcbee8d9b75411d8ce1f9063d5ef4171174cdffc3cc198aa1"),
+], ids=["nuesslein-min-stages", "chancellor_repaired-stage0"])
+def test_sa_output_at_scale_is_pinned(name, num_vars, num_clauses, stages, digest):
+    """SA at pruning-sa's shape (k=50, 30 sweeps) on the first `stages` "min" pruning
+    stages: classes mix degree-3 aux bits with high-degree problem bits."""
+    matrix, _ = assemble(generate_balanced(num_vars, num_clauses, mix(1, 1, 0)),
+                         builtin_spec(name))
+    results = []
+    for stage in pruning_schedule(matrix, "min")[:stages]:
+        config = SolverConfig(kind="sa", samples=50, seed=mix(1, 3, 0, 0, stage.stage),
+                              sa_sweeps=30)
+        results.extend((r.bits, r.energy) for r in solve(stage.matrix, config))
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == digest
 
 
 def _reference_sum(formula, dim, choose):

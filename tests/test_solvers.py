@@ -78,9 +78,12 @@ def test_config_rejects_ignored_options_and_wrong_types(options, error, message)
         SolverConfig(**options)
 
 
-def test_config_accepts_ignored_options_left_at_their_defaults():
-    config = SolverConfig(kind="tabu", sa_sweeps=1000, sa_beta_start=0.1, sa_beta_end=10.0)
-    assert config == SolverConfig(kind="tabu")
+def test_config_rejects_ignored_options_even_at_the_sa_defaults():
+    with pytest.raises(ValueError, match="^solver tabu ignores sa_sweeps sa_beta_start sa_beta_end$"):
+        SolverConfig(kind="tabu", sa_sweeps=1000, sa_beta_start=0.1, sa_beta_end=10.0)
+    assert SolverConfig(kind="tabu").sa_sweeps is None
+    assert SolverConfig(kind="sa") == SolverConfig(kind="sa", sa_sweeps=1000, sa_beta_start=0.1,
+                                                   sa_beta_end=10.0)
 
 
 def test_energy_gains_match_flip_differences():
