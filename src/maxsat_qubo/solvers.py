@@ -110,10 +110,11 @@ def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConf
 
     Each iteration flips a row's best non-tabu bit, lowest index on ties; a tabu bit may
     still flip if it strictly improves the row's incumbent best (aspiration), and a row
-    whose every bit is tabu ignores the list. The flip gains D = (1 - 2X)·G are carried,
-    not rebuilt: a flip negates its bit's gain and updates its neighbours', O(k·width)
-    per iteration. SA carries nothing: each colour class reads its fields from the rows
-    (see _batch_sa).
+    whose every bit is tabu ignores the list. The tabu bits, the last min(iteration, tenure)
+    flips, come from a ring that doubles from min(tenure, dim) slots as it fills (a tenure
+    above dim costs O(k·min(tenure, iterations)) per iteration); they are masked in place
+    for one (k, dim) argmin. The flip gains D = S·G, S = 1 - 2X, are carried: a flip
+    negates its bit's gain and updates its neighbours'.
     """
     start, time_limit_ms = time.perf_counter(), config.time_limit_ms
     dim = len(compiled.diag)
@@ -122,37 +123,46 @@ def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConf
         iteration_limit = 10_000 * dim
     tenure = config.tabu_tenure or max(10, dim // 10)
     _, X, D, E = _initial_states(compiled, seeds)
-    best_energy, best_bits, tabu_until = E.copy(), X.copy(), np.zeros_like(X)
+    S = 1 - 2 * X
+    best_energy, best_S = E.copy(), S.copy()
     # flat views: one flat index per cell is cheaper than a (row, column) pair
-    flat_X, flat_D, flat_tabu = X.reshape(-1), D.reshape(-1), tabu_until.reshape(-1)
-    rows = np.arange(len(seeds))
-    row_start = rows * dim
+    flat_S, flat_D = S.reshape(-1), D.reshape(-1)
+    row_start = np.arange(len(seeds)) * dim
+    # ring[j % len(ring)] holds the cells flipped at iteration j; it wraps only at tenure slots
+    ring = np.empty((min(tenure, dim), len(seeds)), dtype=np.int64)
     iteration = 0
     while iteration_limit is None or iteration < iteration_limit:
         if time_limit_ms is not None and (time.perf_counter() - start) * 1000 >= time_limit_ms:
             break
-        # |D| < 2^62 = _BIG under CompiledQubo's bound, so only tabu slots read _BIG. If a bit
-        # aspirates, so do all bits at the row's least gain: best_any is the best allowed bit.
-        best_any = D.argmin(axis=1)
-        free = np.where(tabu_until <= iteration, D, _BIG)
-        best_free = free.argmin(axis=1)
-        stuck = free[rows, best_free] == _BIG
-        flip = np.where((D[rows, best_any] < best_energy - E) | stuck, best_any, best_free)
+        # CompiledQubo bounds |D| below 2^62 = _BIG, so only tabu cells read _BIG. Any bit below
+        # the threshold may flip: if a tabu one is, best_any is the best allowed bit, else flip is.
+        tabu = ring[:iteration]
+        tabu_gain = flat_D[tabu]
+        flat_D[tabu] = _BIG
+        flip = D.argmin(axis=1)
+        stuck = flat_D[row_start + flip] == _BIG
+        flat_D[tabu] = tabu_gain
+        threshold = best_energy - E
+        if np.count_nonzero(tabu_gain < threshold) or np.count_nonzero(stuck):
+            best_any = D.argmin(axis=1)
+            flip = np.where((flat_D[row_start + best_any] < threshold) | stuck, best_any, flip)
         cells = row_start + flip
-        gain, sign = flat_D[cells], 1 - 2 * flat_X[cells]
-        flat_X[cells] += sign
+        gain, sign = flat_D[cells], flat_S[cells]
+        flat_S[cells] = -sign
         flat_D[cells] = -gain
-        # neighbour j's gain moves by (1 - 2x_j)·sign·w_ij; padding (own bit, weight 0) adds 0
+        # neighbour j's gain moves by s_j·s_i·w_ij; padding (own bit, weight 0) adds 0
         nbrs = row_start[:, None] + compiled.idx[flip]
-        flat_D[nbrs] += (1 - 2 * flat_X[nbrs]) * sign[:, None] * compiled.weight[flip]
+        flat_D[nbrs] += flat_S[nbrs] * sign[:, None] * compiled.weight[flip]
         E += gain
-        flat_tabu[cells] = iteration + 1 + tenure
+        if iteration == len(ring) < tenure:
+            ring = np.concatenate([ring, np.empty_like(ring[:tenure - len(ring)])])
+        ring[iteration % len(ring)] = cells
         improved = E < best_energy
-        if improved.any():
+        if np.count_nonzero(improved):
             best_energy[improved] = E[improved]
-            best_bits[improved] = X[improved]
+            best_S[improved] = S[improved]
         iteration += 1
-    return best_energy, best_bits
+    return best_energy, (1 - best_S) // 2
 
 
 def _batch_sa(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConfig):

@@ -205,6 +205,16 @@ def test_solve_accepts_its_solver_flags_and_reports_batch_time(tmp_path, capsys)
     assert [sorted(row) for row in rows] == [["bits", "energy", "run", "seed"]] * 3
 
 
+def test_solve_accepts_a_tenure_at_the_int64_limit(tmp_path, cnf_file):
+    qubo_path, results_path = tmp_path / "f.qubo", tmp_path / "r.jsonl"
+    assert main(["transform", "--method", "nuesslein", "--in", cnf_file,
+                 "--out", str(qubo_path)]) == 0
+    assert main(["solve", "--solver", "tabu", "--samples", "5", "--iter", "5",
+                 "--tenure", "9223372036854775807", "--in", str(qubo_path),
+                 "--cnf", cnf_file, "--out", str(results_path)]) == 0
+    assert len(results_path.read_text(encoding="utf-8").splitlines()) == 5
+
+
 def test_io_error_exit_code(tmp_path):
     assert main(["transform", "--method", "nuesslein", "--in",
                  str(tmp_path / "nope.cnf"), "--out", str(tmp_path / "o.qubo")]) == 2

@@ -21,6 +21,8 @@ from maxsat_qubo.transform import (APPROX_6_OF_7, BUILTIN_SPEC_NAMES, EXACT_ALL_
                                    builtin_spec, parse_pattern, pattern_energies, verify_pattern,
                                    write_pattern)
 
+from conftest import random_qubo
+
 SHAPES = ("random", "diagonal", "star", "dim1")
 COEFFS = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 55), 2 ** 55)).filter(bool)
 
@@ -262,6 +264,22 @@ def test_sa_output_at_scale_is_pinned(name, num_vars, num_clauses, stages, diges
     assert hashlib.sha256(repr(results).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("index, name, digest", [
+    (0, "fullapprox", "0131bbe8465cd62773a1db536bfd909d130ae8480dd7d6c3459438fc7687efb8"),
+    (1, "chancellor_repaired",
+     "5a05e8c3cec3fc895ebb516524753f8aa8c8839054b011b07286819a07bb47a8"),
+    (2, "nuesslein", "979fa47f6ef0654aa92deb022657e0f9bae20cc6b9cc6bca5bf2e802d0f49338"),
+], ids=["fullapprox", "chancellor_repaired", "nuesslein"])
+def test_tabu_output_at_scale_is_pinned(index, name, digest):
+    """Tabu at comparison-tabu's shape (k=100, 2000 iterations, dims 145 and 645), which
+    no reference-rule test reaches."""
+    matrix, _ = assemble(generate_balanced(145, 500, mix(1, 1, 0)), builtin_spec(name))
+    config = SolverConfig(kind="tabu", samples=100, iteration_limit=2000,
+                          seed=mix(1, 3, 0, index))
+    results = [(r.bits, r.energy) for r in solve(matrix, config)]
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == digest
+
+
 def _reference_sum(formula, dim, choose):
     """The per-clause assembly loop written out in Python ints: the pattern choose(type,
     order) of each clause added entry by entry onto its canonical variables, slot 3 on
@@ -426,12 +444,36 @@ def test_tabu_matches_reference_rule(shape, data):
     q, _ = data.draw(matrices(shape))
     seed = data.draw(st.integers(0, 2 ** 64 - 1))
     samples, iterations = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 40))
-    # a tenure of at least dim leaves every bit tabu once dim bits have flipped
-    tenure = data.draw(st.one_of(st.integers(1, 3), st.integers(q.dim, q.dim + 3)))
+    # a tenure of at least dim leaves every bit tabu once dim bits have flipped; one of
+    # 2^63 or more does not fit an int64
+    tenure = data.draw(st.one_of(st.integers(1, 3), st.integers(q.dim, q.dim + 3),
+                                 st.integers(2 ** 63, 2 ** 70)))
     config = SolverConfig(kind="tabu", samples=samples, seed=seed, iteration_limit=iterations,
                           tabu_tenure=tenure)
     assert [(r.bits, r.energy) for r in solve(q, config)] == \
         [_reference_tabu(q, mix(seed, r), iterations, tenure) for r in range(samples)]
+
+
+@pytest.mark.parametrize("dim, couplings", [(1, 0), (10, 45), (16, 60), (24, 100)])
+def test_tabu_tenure_beyond_dim_matches_reference_rule(dim, couplings):
+    """A tenure of 3·dim over 5·dim iterations: the ring of recent flips starts at dim
+    slots, doubles up to the tenure and then wraps. Rows stuck with every bit tabu free
+    bits again as the ring wraps, so a ring past the tenure changes some best results."""
+    for seed in range(10):
+        q = random_qubo(dim, couplings, seed, -9, 9)
+        config = SolverConfig(kind="tabu", samples=4, seed=seed, iteration_limit=5 * dim,
+                              tabu_tenure=3 * dim)
+        assert [(r.bits, r.energy) for r in solve(q, config)] == \
+            [_reference_tabu(q, mix(seed, r), 5 * dim, 3 * dim) for r in range(4)]
+
+
+def test_time_limited_tabu_with_a_huge_tenure():
+    """The tabu ring grows with the iterations run, never to the tenure: one sized by a
+    tenure of 10^12 would need terabytes."""
+    q = random_qubo(30, 200, 2)
+    results = solve(q, SolverConfig(kind="tabu", samples=3, tabu_tenure=10 ** 12,
+                                    time_limit_ms=50))
+    assert [r.energy for r in results] == [energy(q, r.bits) for r in results]
 
 
 def _reference_colour_classes(q):
