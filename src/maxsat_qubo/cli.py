@@ -245,7 +245,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_values_flag(list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -159,12 +159,9 @@ def count_satisfied_many(formula: CnfFormula, bits_rows: np.ndarray) -> np.ndarr
     return truth.any(axis=2).sum(axis=1).astype(np.int64)
 
 
-class _GeneratorStuck(Exception):
-    pass
-
-
 def _balanced_attempt(num_vars: int, num_clauses: int,
-                      rng: np.random.Generator) -> tuple[tuple[int, int, int], ...]:
+                      rng: np.random.Generator) -> tuple[tuple[int, int, int], ...] | None:
+    """One greedy construction, or None when a clause is forced to repeat an earlier one."""
     scaled_occurrences = np.zeros(num_vars, dtype=np.int64)  # occurrences * num_vars
     polarity = [0] * num_vars  # positive minus negative occurrences
     seen: set[tuple[int, ...]] = set()
@@ -192,7 +189,7 @@ def _balanced_attempt(num_vars: int, num_clauses: int,
             if key not in seen:
                 break
         else:
-            raise _GeneratorStuck(len(clauses) + 1)
+            return None
         seen.add(key)
         scaled_occurrences[chosen] += num_vars
         for v, lit in zip(chosen, clause):
@@ -220,11 +217,9 @@ def generate_balanced(num_vars: int, num_clauses: int, seed: int) -> CnfFormula:
     max_restarts = 50
     for restart in range(max_restarts):
         rng = generator(seed if restart == 0 else mix(seed, 0xBA1A, restart))
-        try:
-            clauses = _balanced_attempt(num_vars, num_clauses, rng)
-        except _GeneratorStuck:
-            continue
-        return CnfFormula(num_vars, clauses)
+        clauses = _balanced_attempt(num_vars, num_clauses, rng)
+        if clauses is not None:
+            return CnfFormula(num_vars, clauses)
     raise ValueError(
         f"balance or distinctness unsatisfiable for num_vars={num_vars}, "
         f"num_clauses={num_clauses} (gave up after {max_restarts} restarts)"

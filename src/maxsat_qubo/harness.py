@@ -81,9 +81,7 @@ class ExperimentConfig:
             raise ValueError(f"bad experiment config: {exc}") from None
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["transforms"] = list(self.transforms)
-        return data
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -153,12 +151,7 @@ def run_pruning_sweep(config: ExperimentConfig) -> tuple[list[RunRecord], list[S
 
 def summarize_pruning(records: Sequence[RunRecord]) -> list[SummaryRow]:
     """Mean best-of-k per method label (transformation, strategy, prune percentage)."""
-    bests = _bests_by_method(records)
-    return [
-        SummaryRow(kind="mean_best", method=method,
-                   value=float(np.mean([bests[method][f] for f in sorted(bests[method])])))
-        for method in bests
-    ]
+    return _mean_bests(_bests_by_method(records), "mean_best", 1)
 
 
 def _comparison_records(config: ExperimentConfig) -> list[RunRecord]:
@@ -201,6 +194,13 @@ def _bests_by_method(records: Sequence[RunRecord]) -> dict[str, dict[int, int]]:
     return bests
 
 
+def _mean_bests(bests: dict[str, dict[int, int]], kind: str, scale: int) -> list[SummaryRow]:
+    """One row per method: the mean over its sorted formulas of best-of-k / scale."""
+    return [SummaryRow(kind=kind, method=method, value=float(np.mean(
+                [per_formula[f] / scale for f in sorted(per_formula)])))
+            for method, per_formula in bests.items()]
+
+
 def summarize_comparison(records: Sequence[RunRecord]) -> list[SummaryRow]:
     """Per-formula bests, means, pairwise differences, baseline-relative improvements.
 
@@ -217,9 +217,7 @@ def summarize_comparison(records: Sequence[RunRecord]) -> list[SummaryRow]:
         for method in methods:
             rows.append(SummaryRow(kind="best", method=method, formula_id=formula_id,
                                    value=bests[method][formula_id]))
-    for method in methods:
-        rows.append(SummaryRow(kind="mean", method=method,
-                               value=float(np.mean([bests[method][f] for f in formulas]))))
+    rows += _mean_bests(bests, "mean", 1)
     for a, b in combinations(methods, 2):
         for formula_id in formulas:
             rows.append(SummaryRow(kind="diff", method=a, other=b, formula_id=formula_id,
@@ -244,13 +242,7 @@ def summarize_comparison(records: Sequence[RunRecord]) -> list[SummaryRow]:
 
 def summarize_scaling(records: Sequence[RunRecord], num_clauses: int) -> list[SummaryRow]:
     """One row per method: mean over formulas of best-of-k divided by clause count."""
-    bests = _bests_by_method(records)
-    rows = []
-    for method in bests:
-        fractions = [bests[method][f] / num_clauses for f in sorted(bests[method])]
-        rows.append(SummaryRow(kind="fraction", method=method,
-                               value=float(np.mean(fractions))))
-    return rows
+    return _mean_bests(_bests_by_method(records), "fraction", num_clauses)
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[SummaryRow]]:

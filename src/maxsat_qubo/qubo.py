@@ -156,6 +156,9 @@ def energy(q: QuboMatrix, bits: Sequence[int]) -> int:
     """Exact integer energy sum(Q_ii x_i) + sum(Q_ij x_i x_j)."""
     if len(bits) != q.dim:
         raise ValueError(f"bit vector length {len(bits)} != dim {q.dim}")
+    bad = next((index for index, bit in enumerate(bits) if bit not in (0, 1)), None)
+    if bad is not None:
+        raise ValueError(f"bit {bad} is {bits[bad]!r}, expected 0 or 1")
     x = [int(b) for b in bits]
     total = 0
     for (i, j), value in q.entries.items():
@@ -166,12 +169,23 @@ def energy(q: QuboMatrix, bits: Sequence[int]) -> int:
     return total
 
 
+def _binary_rows(bits_rows, width: int) -> np.ndarray:
+    """Rows of a (k, width) 0/1 matrix as int64; ValueError for another shape or for the
+    first entry that is not 0 or 1, checked before the cast so that 0.7 is not read as 0."""
+    rows = np.asarray(bits_rows)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"expected shape (k, {width}), got {rows.shape}")
+    bad = np.argwhere((rows != 0) & (rows != 1))
+    if len(bad):
+        row, column = bad[0].tolist()
+        raise ValueError(f"row {row} entry {column} is {rows[row].tolist()[column]!r}, "
+                         "expected 0 or 1")
+    return rows.astype(np.int64)
+
+
 def energy_many(q: QuboMatrix, bits_rows: np.ndarray) -> np.ndarray:
     """Vectorized energy over rows of a (k, dim) 0/1 matrix."""
-    rows = np.asarray(bits_rows, dtype=np.int64)
-    if rows.ndim != 2 or rows.shape[1] != q.dim:
-        raise ValueError(f"expected shape (k, {q.dim}), got {rows.shape}")
-    return q.diag_coupling().energies(rows)
+    return q.diag_coupling().energies(_binary_rows(bits_rows, q.dim))
 
 
 def _compile_for_layout(q: QuboMatrix, layout: VariableLayout) -> CompiledQubo:
@@ -202,20 +216,13 @@ def energy_min_aux_many(q: QuboMatrix, layout: VariableLayout, bits_rows: np.nda
     Each aux bit contributes min(0, field), its diagonal plus its couplings
     into the fixed assignment. Matrices with aux-aux couplings are rejected.
     """
-    n = layout.num_problem_vars
-    rows = np.asarray(bits_rows, dtype=np.int64)
-    if rows.ndim != 2 or rows.shape[1] != n:
-        raise ValueError(f"expected shape (k, {n}), got {rows.shape}")
+    rows = _binary_rows(bits_rows, layout.num_problem_vars)
     return _min_aux_energies(_compile_for_layout(q, layout), rows)
 
 
 def energy_min_aux(q: QuboMatrix, layout: VariableLayout, assignment: Sequence[int]) -> int:
     """Energy of one problem assignment with auxiliary bits minimized out."""
-    n = layout.num_problem_vars
-    if len(assignment) != n:
-        raise ValueError(f"assignment length {len(assignment)} != num_problem_vars {n}")
-    row = np.asarray([[int(b) for b in assignment]], dtype=np.int64)
-    return int(energy_min_aux_many(q, layout, row)[0])
+    return int(energy_min_aux_many(q, layout, [assignment])[0])
 
 
 def minimize_with_aux(q: QuboMatrix, layout: VariableLayout) -> tuple[int, tuple[int, ...]]:
@@ -355,16 +362,8 @@ def write_triplets(kind: str, header: Sequence[int], entries: Entries,
     """Write the format read_triplets reads: 'c' comment lines, then the header
     'p <kind> <header integers> <entry count>', then 'i j coeff' lines in key order."""
     head = "".join(f"c {comment}\n" for comment in comments)
-    # keys are validated in-range matrix or slot indices, so int64 holds them; the
-    # coefficients are written from the Python ints, exact at any size
-    count = len(entries)
-    pairs = np.fromiter(chain.from_iterable(entries), dtype=np.int64,
-                        count=2 * count).reshape(count, 2)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    rows, cols = pairs[order].T.tolist()
-    values = list(entries.values())
-    body = "".join(map("{} {} {}\n".format, rows, cols, map(values.__getitem__, order.tolist())))
-    return f"{head}{' '.join(['p', kind, *map(str, header), str(count)])}\n{body}"
+    body = "".join([f"{i} {j} {entries[i, j]}\n" for i, j in sorted(entries)])
+    return f"{head}{' '.join(['p', kind, *map(str, header), str(len(entries))])}\n{body}"
 
 
 def parse_qubo(text: str) -> tuple[QuboMatrix, VariableLayout | None]:

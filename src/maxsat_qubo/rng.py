@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -29,7 +31,7 @@ def mix(seed: int, *parts: int | str) -> int:
             for byte in part.encode("utf-8"):
                 state = splitmix64(state ^ byte)
         else:
-            state = splitmix64(state ^ (int(part) & _MASK64))
+            state = splitmix64(state ^ (operator.index(part) & _MASK64))
     return state
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -195,22 +196,18 @@ def negation_substitute(base: ClausePattern, mask: Sequence[bool]) -> ClausePatt
     if not verify_pattern(base, 0, EXACT_ALL_7).valid:
         raise ValueError("base pattern does not pass exact-all-7 for clause type 0")
 
-    linear = {i: c for (i, j), c in base.coefficients.items() if i == j}
-    bilinear = {(i, j): c for (i, j), c in base.coefficients.items() if i < j}
-    for slot in (s for s in range(3) if mask[s]):
-        new_linear = dict(linear)
-        new_bilinear = dict(bilinear)
-        if slot in linear:
-            new_linear[slot] = -linear[slot]
-        for (i, j), c in bilinear.items():
-            if slot in (i, j):
-                other = j if i == slot else i
-                new_linear[other] = new_linear.get(other, 0) + c
-                new_bilinear[(i, j)] = -c
-        linear, bilinear = new_linear, new_bilinear
-
-    coefficients: dict[tuple[int, int], int] = {(i, i): c for i, c in linear.items()}
-    coefficients.update(bilinear)
+    sign = [-1 if negated else 1 for negated in mask] + [1]  # the aux slot is never negated
+    coefficients: defaultdict[tuple[int, int], int] = defaultdict(int)
+    for (i, j), c in base.coefficients.items():
+        if i == j:
+            coefficients[i, i] += sign[i] * c
+            continue
+        # x = 1 - y on a masked end also leaves c x_other on the other end's diagonal
+        coefficients[i, j] += sign[i] * sign[j] * c
+        if sign[i] < 0:
+            coefficients[j, j] += sign[j] * c
+        if sign[j] < 0:
+            coefficients[i, i] += sign[i] * c
     result = ClausePattern(4, coefficients)
     clause_type = sum(mask)
     if not verify_pattern(result, clause_type, EXACT_ALL_7).valid:
@@ -256,9 +253,7 @@ def builtin_spec(name: str) -> TransformSpec:
         patterns = tuple(ClausePattern(4, dict(c)) for c in _CHANCELLOR_PRINTED)
     elif name == "chancellor_repaired":
         base = ClausePattern(4, dict(_CHANCELLOR_PRINTED[0]))
-        masks = ((False, False, False), (False, False, True),
-                 (False, True, True), (True, True, True))
-        patterns = tuple(negation_substitute(base, mask) for mask in masks)
+        patterns = tuple(negation_substitute(base, unsat_triple(t)) for t in range(4))
     elif name == "nuesslein":
         patterns = tuple(ClausePattern(4, dict(c)) for c in _NUESSLEIN)
     elif name == "fullapprox":

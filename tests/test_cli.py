@@ -11,7 +11,7 @@ import pytest
 
 from maxsat_qubo.cli import _SOLVER_FLAGS, build_parser, main
 from maxsat_qubo.formula import count_satisfied, parse_dimacs
-from maxsat_qubo.qubo import nnz_offdiag, parse_qubo
+from maxsat_qubo.qubo import nnz_offdiag, parse_qubo, pruning_schedule
 from maxsat_qubo.solvers import SOLVER_OPTIONS, SolverConfig
 from maxsat_qubo.transform import decode, parse_pattern, verify_pattern, APPROX_6_OF_7
 
@@ -162,6 +162,36 @@ def test_bad_input_files_give_an_error_line(tmp_path, capsys, command, name, tex
     out = tmp_path / "out"
     assert main(command + ["--in", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+_HUGE_INDEX_QUBO = ("p qubo 18446744073709551616 2\n9223372036854775808 9223372036854775808 1\n"
+                    "9223372036854775808 9223372036854775809 -2\n")
+
+
+def test_prune_writes_indices_beyond_int64(tmp_path):
+    path, out = tmp_path / "huge.qubo", tmp_path / "p.qubo"
+    path.write_text(_HUGE_INDEX_QUBO, encoding="utf-8")
+    assert main(["prune", "--strategy", "min", "--stage", "10", "--in", str(path),
+                 "--out", str(out)]) == 0
+    matrix, _ = parse_qubo(_HUGE_INDEX_QUBO)
+    assert parse_qubo(out.read_text(encoding="utf-8"))[0] == \
+        pruning_schedule(matrix, "min")[10].matrix
+
+
+# each asks numpy for 10^15 int64 entries (7.11 PiB), which no host grants
+@pytest.mark.parametrize("command, name, text", [
+    (["solve", "--solver", "random"], "huge.qubo", "p qubo 1000000000000000 0\n"),
+    (["gen", "--vars", "1000000000000000", "--clauses", "1"], None, None),
+], ids=["solve-random", "gen"])
+def test_allocation_failure_gives_an_error_line(tmp_path, capsys, command, name, text):
+    if name is not None:
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        command = command + ["--in", str(path)]
+    out = tmp_path / "out"
+    assert main(command + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
     assert not out.exists()
 
 

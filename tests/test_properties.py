@@ -3,6 +3,7 @@ formats round-trip, batch solves equal single runs, and the generator and assemb
 their reference results."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -11,15 +12,15 @@ from hypothesis import strategies as st
 
 from maxsat_qubo.formula import (CnfFormula, classify_clause, clause_of, generate_balanced,
                                  parse_dimacs, write_dimacs)
-from maxsat_qubo.pattern_search import search_3x3
+from maxsat_qubo.pattern_search import search_3x3, search_4x4
 from maxsat_qubo.qubo import (EXACT_INT64_BOUND, QuboMatrix, VariableLayout, energy,
                               energy_many, parse_qubo, pruning_schedule, write_qubo)
 from maxsat_qubo.rng import generator, mix
 from maxsat_qubo.solvers import SolverConfig, simulated_annealing, solve, tabu_search
 from maxsat_qubo.transform import (APPROX_6_OF_7, BUILTIN_SPEC_NAMES, EXACT_ALL_7, TRIPLES,
                                    ClausePattern, TransformSpec, approximate_with_hint, assemble,
-                                   builtin_spec, parse_pattern, pattern_energies, verify_pattern,
-                                   write_pattern)
+                                   builtin_spec, negation_substitute, parse_pattern,
+                                   pattern_energies, verify_pattern, write_pattern)
 
 from conftest import random_qubo
 
@@ -362,6 +363,25 @@ def test_assembly_refuses_inexact_sums():
     # no clause is of type 3, and its pattern does not fit in int64
     with pytest.raises(ValueError, match="2\\^62"):
         assemble(formula, spec({(0, 0): 1}, {(0, 0): 1}, ClausePattern(3, {(0, 0): 2 ** 70})))
+
+
+@pytest.mark.parametrize("mask", list(itertools.product((False, True), repeat=3)))
+def test_negation_substitution_shifts_every_energy_by_one_constant(mask):
+    """x = 1 - y on the masked slots: the result's energy at y minus the base's at x is
+    the same for all 16 assignments, or the substitution is refused."""
+    bases = [*search_4x4((-1, 0, 1), 0), *(builtin_spec(name).patterns[0]
+                                           for name in ("nuesslein", "chancellor_printed"))]
+    assignments = list(itertools.product((0, 1), repeat=4))
+    for base in bases:
+        try:
+            result = negation_substitute(base, mask)
+        except ValueError:
+            continue
+        before, after = (QuboMatrix(4, p.coefficients) for p in (base, result))
+        shifts = {energy(after, y) - energy(before, tuple(
+            1 - bit if masked else bit for bit, masked in zip(y, mask + (False,))))
+            for y in assignments}
+        assert len(shifts) == 1
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -146,6 +146,22 @@ def test_energy_min_aux_many_matches_scalar():
         assert energy_min_aux(q, layout, tuple(row)) == value
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda q: energy(q, (2, 0)), "bit 0 is 2, expected 0 or 1"),
+    (lambda q: energy(q, (0.7, 1.9)), "bit 0 is 0.7, expected 0 or 1"),
+    (lambda q: energy_many(q, [[2, 0]]), "row 0 entry 0 is 2, expected 0 or 1"),
+    (lambda q: energy_many(q, [[1, 0], [0, 0.7]]), "row 1 entry 1 is 0.7, expected 0 or 1"),
+    (lambda q: energy_min_aux(q, VariableLayout(2), (2, 0)), "row 0 entry 0 is 2"),
+    (lambda q: energy_min_aux_many(q, VariableLayout(2), [[0, -1]]), "row 0 entry 1 is -1"),
+], ids=["energy", "energy-fraction", "many", "many-fraction", "min-aux", "min-aux-many"])
+def test_energies_refuse_entries_other_than_0_and_1(call, message):
+    q = QuboMatrix(2, {(0, 0): 1, (0, 1): 1})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(q)
+    # bools are 0 and 1
+    assert energy(q, (True, True)) == energy_many(q, [[True, True]])[0] == 2
+
+
 def test_minimize_with_aux_matches_brute_force():
     for seed in range(10):
         q = random_qubo(8, 12, seed + 300)

@@ -22,6 +22,15 @@ from maxsat_qubo.transform import assemble, builtin_spec, decode
 from conftest import random_formula, random_qubo
 
 
+def test_seed_derivation_takes_integers_and_names():
+    assert mix(1, 2) != mix(1, 3)
+    assert mix(1, "nuesslein") != mix(1, "fullapprox")
+    assert mix(1, np.int64(2)) == mix(1, 2)
+    # a float part is refused, not truncated to mix(1, 2)
+    with pytest.raises(TypeError):
+        mix(1, 2.7)
+
+
 def test_every_exact_enumeration_stops_at_25_bits():
     q = QuboMatrix(26, {(0, 0): 1})
     message = "enumeration limited to 25 bits, got 26"
