@@ -110,11 +110,21 @@ def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConf
 
     Each iteration flips a row's best non-tabu bit, lowest index on ties; a tabu bit may
     still flip if it strictly improves the row's incumbent best (aspiration), and a row
-    whose every bit is tabu ignores the list. The tabu bits, the last min(iteration, tenure)
-    flips, come from a ring that doubles from min(tenure, dim) slots as it fills (a tenure
-    above dim costs O(k·min(tenure, iterations)) per iteration); they are masked in place
-    for one (k, dim) argmin. The flip gains D = S·G, S = 1 - 2X, are carried: a flip
-    negates its bit's gain and updates its neighbours'.
+    whose every bit is tabu ignores the list. A bit is tabu for `tenure` iterations after
+    its latest flip. The flip gains D = S·G, S = 1 - 2X, are carried: a flip negates its
+    bit's gain and updates its neighbours'.
+
+    A tabu bit's cell of D holds its gain plus _BIG = 2^62 for as long as it is tabu, so
+    one (k, dim) argmin finds every row's best free bit, or its best bit when all are tabu.
+    CompiledQubo refuses sum |c| >= 2^62, so no gain plus _BIG wraps, and two gains of one
+    row differ by at most sum |c|: each coefficient but their shared coupling feeds only
+    one of them, and that coupling moves their difference by at most its |c|. A masked
+    cell thus reads strictly above every free one. Each iteration a flip masks one cell
+    per row and the flip `tenure` iterations back unmasks one unless a later flip renewed
+    it, O(k) each; a renewal finds the entry it cancels from each cell's latest flip, also
+    O(k). The cells flipped in the last min(iteration, tenure) iterations sit in a ring
+    that doubles from min(tenure, dim) slots as it fills; the aspiration test gathers all
+    of them, O(k·min(tenure, iterations)) per iteration.
     """
     start, time_limit_ms = time.perf_counter(), config.time_limit_ms
     dim = len(compiled.diag)
@@ -128,35 +138,54 @@ def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConf
     # flat views: one flat index per cell is cheaper than a (row, column) pair
     flat_S, flat_D = S.reshape(-1), D.reshape(-1)
     row_start = np.arange(len(seeds)) * dim
-    # ring[j % len(ring)] holds the cells flipped at iteration j; it wraps only at tenure slots
+    # ring[j % len(ring)] holds the cells flipped at iteration j and unmask[j % len(ring)]
+    # what their expiry subtracts: _BIG, or 0 once a later flip renewed the cell
     ring = np.empty((min(tenure, dim), len(seeds)), dtype=np.int64)
+    unmask = np.empty_like(ring)
+    latest = np.full(D.size, -1, dtype=np.int64)  # the iteration of each cell's latest flip
     iteration = 0
     while iteration_limit is None or iteration < iteration_limit:
         if time_limit_ms is not None and (time.perf_counter() - start) * 1000 >= time_limit_ms:
             break
-        # CompiledQubo bounds |D| below 2^62 = _BIG, so only tabu cells read _BIG. Any bit below
-        # the threshold may flip: if a tabu one is, best_any is the best allowed bit, else flip is.
-        tabu = ring[:iteration]
-        tabu_gain = flat_D[tabu]
-        flat_D[tabu] = _BIG
         flip = D.argmin(axis=1)
-        stuck = flat_D[row_start + flip] == _BIG
-        flat_D[tabu] = tabu_gain
-        threshold = best_energy - E
-        if np.count_nonzero(tabu_gain < threshold) or np.count_nonzero(stuck):
-            best_any = D.argmin(axis=1)
-            flip = np.where((flat_D[row_start + best_any] < threshold) | stuck, best_any, flip)
+        # every cell in the ring is tabu; aspiration allows those that beat the incumbent
+        tabu = ring[:iteration]
+        aspiring = flat_D[tabu] < best_energy - E + _BIG
+        # only a ring of dim or more flips can leave a row's every bit, and its argmin, tabu
+        may_renew = len(tabu) >= dim
+        if np.count_nonzero(aspiring):
+            # unmasked, a bit that beats its row's incumbent beats every masked bit, so
+            # the argmin takes the row's best allowed bit
+            aspiring_cells = tabu[aspiring]
+            flat_D[aspiring_cells] -= _BIG
+            flip = D.argmin(axis=1)
+            flat_D[aspiring_cells] += _BIG
+            may_renew = True
         cells = row_start + flip
+        if may_renew:
+            # a tabu bit flipped again stays tabu `tenure` iterations from now, so its
+            # previous ring entry must not unmask it
+            previous = latest[cells]
+            renewed = previous >= max(iteration - tenure, 0)
+            if np.count_nonzero(renewed):
+                unmask[previous[renewed] % len(ring), renewed] = 0
+                flat_D[cells[renewed]] -= _BIG
         gain, sign = flat_D[cells], flat_S[cells]
         flat_S[cells] = -sign
-        flat_D[cells] = -gain
+        flat_D[cells] = _BIG - gain
         # neighbour j's gain moves by s_j·s_i·w_ij; padding (own bit, weight 0) adds 0
-        nbrs = row_start[:, None] + compiled.idx[flip]
-        flat_D[nbrs] += flat_S[nbrs] * sign[:, None] * compiled.weight[flip]
+        nbrs = row_start[:, None] + compiled.idx.take(flip, axis=0)
+        flat_D[nbrs] += flat_S[nbrs] * sign[:, None] * compiled.weight.take(flip, axis=0)
         E += gain
         if iteration == len(ring) < tenure:
-            ring = np.concatenate([ring, np.empty_like(ring[:tenure - len(ring)])])
-        ring[iteration % len(ring)] = cells
+            grown = np.empty_like(ring[:tenure - len(ring)])
+            ring, unmask = np.concatenate([ring, grown]), np.concatenate([unmask, grown])
+        slot = iteration % len(ring)
+        if iteration >= tenure:
+            flat_D[ring[slot]] -= unmask[slot]
+        ring[slot] = cells
+        unmask[slot] = _BIG
+        latest[cells] = iteration
         improved = E < best_energy
         if np.count_nonzero(improved):
             best_energy[improved] = E[improved]

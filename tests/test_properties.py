@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from maxsat_qubo.formula import (CnfFormula, classify_clause, clause_of, generate_balanced,
                                  parse_dimacs, write_dimacs)
-from maxsat_qubo.pattern_search import search_3x3, search_4x4
+from maxsat_qubo.pattern_search import enumerate_combinations, search_3x3, search_4x4
 from maxsat_qubo.qubo import (EXACT_INT64_BOUND, QuboMatrix, VariableLayout, energy,
                               energy_many, parse_qubo, pruning_schedule, write_qubo)
 from maxsat_qubo.rng import generator, mix
@@ -281,6 +281,22 @@ def test_tabu_output_at_scale_is_pinned(index, name, digest):
     assert hashlib.sha256(repr(results).encode()).hexdigest() == digest
 
 
+def test_tabu_output_at_calibration_shape_is_pinned():
+    """Tabu at calibration-select's shape (k=10, 200 iterations, dim 145) on its first 16
+    combinations of 3x3 approximations, seeded as select_best_combination seeds them:
+    a small batch, where the default tenure of 14 leaves the ring short."""
+    per_type = [search_3x3((-1, 0, 1), clause_type, APPROX_6_OF_7) for clause_type in range(4)]
+    formula = generate_balanced(145, 500, mix(1, 1, 0))
+    results = []
+    for index, spec in enumerate(enumerate_combinations(per_type)[:16]):
+        matrix, _ = assemble(formula, spec)
+        config = SolverConfig(kind="tabu", samples=10, iteration_limit=200,
+                              seed=mix(mix(1, 6), index))
+        results.extend((r.bits, r.energy) for r in solve(matrix, config))
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == \
+        "c5a6ac1689a6ae1c35ddabcca11939c2ee4f11d90477f4c59f4edec5637d2734"
+
+
 def _reference_sum(formula, dim, choose):
     """The per-clause assembly loop written out in Python ints: the pattern choose(type,
     order) of each clause added entry by entry onto its canonical variables, slot 3 on
@@ -435,10 +451,11 @@ def test_batch_rows_equal_single_runs(kind, data):
         [(r.bits, r.energy, r.seed_used) for r in singles]
 
 
-def _reference_tabu(q, seed, iterations, tenure):
+def _reference_tabu(q, seed, iterations, tenure, aspirations=None):
     """The documented tabu rule, one row at a time: every flip difference recomputed with
     the exact energy, the lowest-index best non-tabu bit taken, a tabu bit allowed when it
-    strictly improves the incumbent, and the tabu list ignored when every bit is tabu."""
+    strictly improves the incumbent, and the tabu list ignored when every bit is tabu.
+    The iterations where aspiration flips a tabu bit go to `aspirations` when given."""
     bits = generator(seed).integers(0, 2, size=q.dim, dtype=np.int64).tolist()
     current = energy(q, bits)
     best, best_bits = current, tuple(bits)
@@ -449,6 +466,8 @@ def _reference_tabu(q, seed, iterations, tenure):
         allowed = [i for i in range(q.dim)
                    if tabu_until[i] <= iteration or current + diffs[i] < best]
         flip = min(allowed or range(q.dim), key=lambda i: (diffs[i], i))
+        if aspirations is not None and allowed and tabu_until[flip] > iteration:
+            aspirations.append(iteration)
         bits[flip] = 1 - bits[flip]
         current += diffs[flip]
         tabu_until[flip] = iteration + 1 + tenure
@@ -485,6 +504,37 @@ def test_tabu_tenure_beyond_dim_matches_reference_rule(dim, couplings):
                               tabu_tenure=3 * dim)
         assert [(r.bits, r.energy) for r in solve(q, config)] == \
             [_reference_tabu(q, mix(seed, r), 5 * dim, 3 * dim) for r in range(4)]
+
+
+@pytest.mark.parametrize("entries", [
+    {(0, 0): 2 ** 61, (0, 1): -(2 ** 61) + 1},
+    {(0, 1): 2 ** 62 - 1},
+    {(0, 0): 2 ** 61 - 1, (1, 1): -(2 ** 61 - 1), (0, 1): 1},
+], ids=["diagonal-and-coupling", "coupling", "opposite-diagonals"])
+def test_tabu_at_the_int64_edge_matches_reference_rule(entries):
+    """Magnitudes summing to 2^62 - 1, the most a compiled matrix accepts: a tabu bit's
+    gain plus 2^62 must still read above every free gain of its row without wrapping,
+    also when every bit is tabu (tenure dim) and past it (dim + 2)."""
+    q = QuboMatrix(2, entries)
+    assert sum(map(abs, q.entries.values())) == EXACT_INT64_BOUND - 1
+    for tenure in (1, q.dim, q.dim + 2):
+        config = SolverConfig(kind="tabu", samples=4, seed=5, iteration_limit=12,
+                              tabu_tenure=tenure)
+        assert [(r.bits, r.energy) for r in solve(q, config)] == \
+            [_reference_tabu(q, mix(5, r), 12, tenure) for r in range(4)]
+
+
+def test_tabu_renews_a_bit_that_aspiration_flips_again():
+    """Bit 1 flips at iteration 0 and, by aspiration, again at iteration 3, inside its
+    tenure of 3. It stays tabu through iteration 6; freed after its first flip's tenure,
+    it would tie bit 3 at iteration 4 and win on its lower index."""
+    q = QuboMatrix(4, {(0, 0): 5, (1, 1): 1, (2, 2): -3, (3, 3): 1, (0, 1): -5, (0, 2): 5,
+                       (0, 3): -2, (1, 2): 5, (1, 3): -4, (2, 3): -3})
+    aspirations = []
+    expected = _reference_tabu(q, mix(52, 0), 16, 3, aspirations)
+    assert aspirations == [3]
+    config = SolverConfig(kind="tabu", samples=1, seed=52, iteration_limit=16, tabu_tenure=3)
+    assert [(r.bits, r.energy) for r in solve(q, config)] == [expected]
 
 
 def test_time_limited_tabu_with_a_huge_tenure():
