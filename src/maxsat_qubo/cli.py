@@ -226,17 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge_values_flag(argv: list[str]) -> list[str]:
     # argparse reads "-1,0,1" as an option; fold it into "--values=-1,0,1"
-    merged = []
-    skip = False
-    for position, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token == "--values" and position + 1 < len(argv):
-            merged.append(f"--values={argv[position + 1]}")
-            skip = True
-        else:
-            merged.append(token)
+    merged, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token == "--values" else None
+        merged.append(token if value is None else f"--values={value}")
     return merged
 
 

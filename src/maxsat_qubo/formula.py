@@ -1,4 +1,4 @@
-"""3SAT formulas: DIMACS I/O, clause classification, balanced generation, MAX-3SAT oracle."""
+"""3SAT formulas: the shared text grammar, DIMACS I/O, clause types, generation, MAX-3SAT oracle."""
 
 from __future__ import annotations
 
@@ -62,37 +62,60 @@ def clause_of(*lits: int) -> tuple[int, ...]:
     return lits
 
 
-def parse_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF text into a formula of 3-literal clauses."""
-    num_vars = num_clauses = None
-    tokens: list[int] = []
+def read_lines(text: str, kind: str, header_ints: int, comments: list | None = None):
+    """Read the line grammar of DIMACS, QUBO and pattern text. Blank lines are skipped, and
+    a line starting with c is a comment, appended to `comments` as (line number, fields).
+    One 'p <kind> <header_ints integers>' header, whose last integer declares the body's
+    size, must come before every other line. Yields (line number, line, header integers),
+    then (line number, line, fields) for each body line."""
+    header = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
-        if not fields or fields[0][0] == "c":
+        if not fields:
             continue
-        if fields[0][0] == "p":
-            line = raw.strip()
-            if num_vars is not None:
-                raise ValueError(f"line {lineno}: duplicate problem header")
-            if len(fields) != 4 or fields[1] != "cnf":
-                raise ValueError(f"line {lineno}: malformed header {line!r}")
+        lead = fields[0][0]
+        if lead == "c":
+            if comments is not None:
+                comments.append((lineno, fields))
+        elif lead == "p":
+            if len(fields) != 2 + header_ints or fields[1] != kind:
+                raise ValueError(f"line {lineno}: malformed header {raw.strip()!r}")
+            if header is not None:
+                raise ValueError(f"line {lineno}: second 'p {kind}' header")
             try:
-                num_vars, num_clauses = int(fields[2]), int(fields[3])
+                header = tuple(map(int, fields[2:]))
             except ValueError:
-                raise ValueError(f"line {lineno}: malformed header {line!r}") from None
-            if num_vars < 1 or num_clauses < 0:
-                raise ValueError(f"line {lineno}: invalid header counts {line!r}")
-            continue
-        if num_vars is None:
-            raise ValueError(f"line {lineno}: clause before 'p cnf' header")
+                raise ValueError(f"line {lineno}: non-integer field in header "
+                                 f"{raw.strip()!r}") from None
+            yield lineno, raw, header
+        elif header is None:
+            raise ValueError(f"line {lineno}: entry before 'p {kind}' header")
+        else:
+            yield lineno, raw, fields
+    if header is None:
+        raise ValueError(f"missing 'p {kind}' header")
+
+
+def write_lines(kind: str, header: Sequence[int], lines: Sequence[str],
+                comments: Sequence[str] = ()) -> str:
+    """The text read_lines reads: 'c' comment lines, then 'p <kind> <header integers>
+    <line count>', then the body lines, each ending in a newline."""
+    head = "".join(f"c {comment}\n" for comment in comments)
+    return f"{head}{' '.join(['p', kind, *map(str, header), str(len(lines))])}\n{''.join(lines)}"
+
+
+def parse_dimacs(text: str) -> CnfFormula:
+    """Parse DIMACS CNF text into a formula of 3-literal clauses."""
+    lines = read_lines(text, "cnf", 2)
+    lineno, raw, (num_vars, num_clauses) = next(lines)
+    if num_vars < 1 or num_clauses < 0:
+        raise ValueError(f"line {lineno}: invalid header counts {raw.strip()!r}")
+    tokens: list[int] = []
+    for lineno, _, fields in lines:
         try:
             tokens.extend(map(int, fields))
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer clause token") from None
-
-    if num_vars is None:
-        raise ValueError("missing 'p cnf' header")
-
     clauses = []
     start = 0
     for end in [index for index, tok in enumerate(tokens) if tok == 0]:
@@ -110,9 +133,8 @@ def parse_dimacs(text: str) -> CnfFormula:
 
 def write_dimacs(formula: CnfFormula, comments: Sequence[str] = ()) -> str:
     """Serialize a formula to DIMACS CNF; parse_dimacs(write_dimacs(f)) == f."""
-    head = "".join(f"c {comment}\n" for comment in comments)
-    body = "".join(["{} {} {} 0\n".format(*clause) for clause in formula.clauses])
-    return f"{head}p cnf {formula.num_vars} {formula.num_clauses}\n{body}"
+    return write_lines("cnf", (formula.num_vars,),
+                       ["{} {} {} 0\n".format(*clause) for clause in formula.clauses], comments)
 
 
 def classify_clause(clause: tuple[int, int, int]) -> tuple[int, tuple[int, int, int]]:

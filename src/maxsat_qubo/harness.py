@@ -258,13 +258,10 @@ def make_timestamp() -> str:
 
 
 def records_to_jsonl(records: Sequence[RunRecord]) -> str:
-    lines = []
-    for r in records:
-        lines.append(json.dumps({
-            "formula": r.formula_id, "method": r.method, "sample": r.sample,
-            "satisfied": r.satisfied, "energy": r.energy, "seed": r.seed,
-        }))
-    return "".join(line + "\n" for line in lines)
+    return "".join(json.dumps({
+        "formula": r.formula_id, "method": r.method, "sample": r.sample,
+        "satisfied": r.satisfied, "energy": r.energy, "seed": r.seed,
+    }) + "\n" for r in records)
 
 
 def summary_to_csv(summary: Sequence[SummaryRow]) -> str:

@@ -99,13 +99,15 @@ def select_best_combination(formula: CnfFormula, specs: Sequence[TransformSpec],
     """Score each spec by solving its assembly of the calibration formula.
 
     Spec i runs with seed mix(seed, i), so a nonzero solver_config.seed is
-    rejected; the score is the best decoded satisfied-clause count over the
-    configured samples. Ties go to the lowest spec index.
+    rejected, as is a time limit; the score is the best decoded satisfied-clause
+    count over the configured samples. Ties go to the lowest spec index.
     """
     if not specs:
         raise ValueError("no specs to choose from")
     if solver_config.seed != 0:
         raise ValueError("solver seed must be left at 0: spec i runs with mix(seed, i)")
+    if solver_config.time_limit_ms is not None:
+        raise ValueError("calibration does not take time_limit_ms: scores vary with host speed")
     scores: list[int] = []
     for index, spec in enumerate(specs):
         results = solve(assemble(formula, spec)[0], replace(solver_config, seed=mix(seed, index)))

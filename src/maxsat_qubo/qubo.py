@@ -9,7 +9,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .formula import enumerate_min
+from .formula import enumerate_min, read_lines, write_lines
 from .rng import generator
 
 # int64 energies and flip deltas stay exact while sum |c| < 2^62
@@ -309,49 +309,23 @@ def write_qubo(q: QuboMatrix, layout: VariableLayout | None = None,
     return write_triplets("qubo", (q.dim,), q.entries, comments)
 
 
-def _line_ints(fields: list[str], lineno: int) -> tuple[int, ...]:
-    try:
-        return tuple(map(int, fields))
-    except ValueError:
-        raise ValueError(f"line {lineno}: non-integer field in {' '.join(fields)!r}") from None
-
-
 def read_triplets(text, kind: str, header_ints: int):
-    """Read the triplet text format shared by QUBO and pattern files.
-
-    Expects one 'p <kind> <header_ints integers>' header whose last integer
-    declares the entry count, then 'i j coeff' lines; lines starting with c
-    are comments. Returns (header integers, entries, comments), where each
-    comment is (line number, fields).
-    """
-    header = None
-    entries: Entries = {}
+    """Read QUBO or pattern text: 'i j coeff' lines under a read_lines header that declares
+    their count. Returns (header integers, entries, comments as (line number, fields))."""
     comments: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split()
-        if not fields:
-            continue
-        lead = fields[0][0]
-        if lead == "c":
-            comments.append((lineno, fields))
-            continue
-        if lead == "p":
-            if len(fields) != 2 + header_ints or fields[1] != kind:
-                raise ValueError(f"line {lineno}: malformed header {raw.strip()!r}")
-            if header is not None:
-                raise ValueError(f"line {lineno}: second 'p {kind}' header")
-            header = _line_ints(fields[2:], lineno)
-            continue
-        if header is None:
-            raise ValueError(f"line {lineno}: entry before 'p {kind}' header")
+    lines = read_lines(text, kind, header_ints, comments)
+    _, _, header = next(lines)
+    entries: Entries = {}
+    for lineno, raw, fields in lines:
         if len(fields) != 3:
             raise ValueError(f"line {lineno}: expected 'i j coeff', got {raw.strip()!r}")
-        i, j, value = _line_ints(fields, lineno)
+        try:
+            i, j, value = map(int, fields)
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-integer field in {' '.join(fields)!r}") from None
         if (i, j) in entries:
             raise ValueError(f"line {lineno}: duplicate entry ({i}, {j})")
         entries[(i, j)] = value
-    if header is None:
-        raise ValueError(f"missing 'p {kind}' header")
     if len(entries) != header[-1]:
         raise ValueError(f"header declares {header[-1]} entries but {len(entries)} were read")
     return header, entries, comments
@@ -359,11 +333,9 @@ def read_triplets(text, kind: str, header_ints: int):
 
 def write_triplets(kind: str, header: Sequence[int], entries: Entries,
                    comments: Sequence[str] = ()) -> str:
-    """Write the format read_triplets reads: 'c' comment lines, then the header
-    'p <kind> <header integers> <entry count>', then 'i j coeff' lines in key order."""
-    head = "".join(f"c {comment}\n" for comment in comments)
-    body = "".join([f"{i} {j} {entries[i, j]}\n" for i, j in sorted(entries)])
-    return f"{head}{' '.join(['p', kind, *map(str, header), str(len(entries))])}\n{body}"
+    """Write the text read_triplets reads, entries in key order."""
+    return write_lines(kind, header, [f"{i} {j} {entries[i, j]}\n" for i, j in sorted(entries)],
+                       comments)
 
 
 def parse_qubo(text: str) -> tuple[QuboMatrix, VariableLayout | None]:
@@ -372,7 +344,11 @@ def parse_qubo(text: str) -> tuple[QuboMatrix, VariableLayout | None]:
     aux: dict[int, int] = {}
     for lineno, fields in comments:
         if len(fields) == 5 and fields[1] == "aux" and fields[3] == "clause":
-            index, owner = _line_ints(fields[2::2], lineno)
+            try:
+                index, owner = map(int, fields[2::2])
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-integer field in "
+                                 f"{' '.join(fields[2::2])!r}") from None
             if index in aux:
                 raise ValueError(f"line {lineno}: repeated aux index {index}")
             aux[index] = owner

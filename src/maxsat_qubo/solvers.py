@@ -119,12 +119,13 @@ def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConf
     CompiledQubo refuses sum |c| >= 2^62, so no gain plus _BIG wraps, and two gains of one
     row differ by at most sum |c|: each coefficient but their shared coupling feeds only
     one of them, and that coupling moves their difference by at most its |c|. A masked
-    cell thus reads strictly above every free one. Each iteration a flip masks one cell
-    per row and the flip `tenure` iterations back unmasks one unless a later flip renewed
-    it, O(k) each; a renewal finds the entry it cancels from each cell's latest flip, also
-    O(k). The cells flipped in the last min(iteration, tenure) iterations sit in a ring
-    that doubles from min(tenure, dim) slots as it fills; the aspiration test gathers all
-    of them, O(k·min(tenure, iterations)) per iteration.
+    cell thus reads strictly above every free one. `latest` holds the iteration of each
+    cell's latest flip, the one record of renewals: each iteration a flip masks one cell
+    per row (a renewed cell, flipped again while tabu, is unmasked first), and the flip
+    `tenure` iterations back unmasks its cell only if that flip is still the cell's
+    latest, O(k) each. The cells flipped in the last min(iteration, tenure) iterations
+    sit in a ring that doubles from min(tenure, dim) slots as it fills; the aspiration
+    test gathers all of them, O(k·min(tenure, iterations)) per iteration.
     """
     start, time_limit_ms = time.perf_counter(), config.time_limit_ms
     dim = len(compiled.diag)
@@ -138,10 +139,8 @@ def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConf
     # flat views: one flat index per cell is cheaper than a (row, column) pair
     flat_S, flat_D = S.reshape(-1), D.reshape(-1)
     row_start = np.arange(len(seeds)) * dim
-    # ring[j % len(ring)] holds the cells flipped at iteration j and unmask[j % len(ring)]
-    # what their expiry subtracts: _BIG, or 0 once a later flip renewed the cell
+    # ring[j % len(ring)] holds the cells flipped at iteration j
     ring = np.empty((min(tenure, dim), len(seeds)), dtype=np.int64)
-    unmask = np.empty_like(ring)
     latest = np.full(D.size, -1, dtype=np.int64)  # the iteration of each cell's latest flip
     iteration = 0
     while iteration_limit is None or iteration < iteration_limit:
@@ -163,13 +162,9 @@ def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConf
             may_renew = True
         cells = row_start + flip
         if may_renew:
-            # a tabu bit flipped again stays tabu `tenure` iterations from now, so its
-            # previous ring entry must not unmask it
-            previous = latest[cells]
-            renewed = previous >= max(iteration - tenure, 0)
-            if np.count_nonzero(renewed):
-                unmask[previous[renewed] % len(ring), renewed] = 0
-                flat_D[cells[renewed]] -= _BIG
+            # a tabu bit flipped again is unmasked here and masked anew by its flip
+            renewed = latest[cells] >= max(iteration - tenure, 0)
+            flat_D[cells[renewed]] -= _BIG
         gain, sign = flat_D[cells], flat_S[cells]
         flat_S[cells] = -sign
         flat_D[cells] = _BIG - gain
@@ -177,15 +172,15 @@ def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConf
         nbrs = row_start[:, None] + compiled.idx.take(flip, axis=0)
         flat_D[nbrs] += flat_S[nbrs] * sign[:, None] * compiled.weight.take(flip, axis=0)
         E += gain
+        latest[cells] = iteration
         if iteration == len(ring) < tenure:
-            grown = np.empty_like(ring[:tenure - len(ring)])
-            ring, unmask = np.concatenate([ring, grown]), np.concatenate([unmask, grown])
+            ring = np.concatenate([ring, np.empty_like(ring[:tenure - len(ring)])])
         slot = iteration % len(ring)
         if iteration >= tenure:
-            flat_D[ring[slot]] -= unmask[slot]
+            # a cell flipped again since ring[slot]'s flip stays masked
+            expired = ring[slot]
+            flat_D[expired[latest[expired] == iteration - tenure]] -= _BIG
         ring[slot] = cells
-        unmask[slot] = _BIG
-        latest[cells] = iteration
         improved = E < best_energy
         if np.count_nonzero(improved):
             best_energy[improved] = E[improved]

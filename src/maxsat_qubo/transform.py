@@ -173,11 +173,9 @@ def coverage_check(patterns: Sequence[ClausePattern],
     first covering pattern (None where uncovered).
     """
     minima = [set(pattern_minima(p)) for p in patterns]
-    witnesses = []
-    for triple in satisfying_triples(clause_type):
-        witness = next((i for i, mins in enumerate(minima) if triple in mins), None)
-        witnesses.append(witness)
-    return all(w is not None for w in witnesses), tuple(witnesses)
+    witnesses = tuple(next((i for i, mins in enumerate(minima) if triple in mins), None)
+                      for triple in satisfying_triples(clause_type))
+    return all(w is not None for w in witnesses), witnesses
 
 
 def negation_substitute(base: ClausePattern, mask: Sequence[bool]) -> ClausePattern:

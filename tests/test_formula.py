@@ -50,6 +50,12 @@ def test_parse_rejects_repeated_variable():
     ("p cnf 3 1\n1 2 4 0", "exceeds"),
     ("p cnf 3 2\n1 2 3 0", "declares"),
     ("p cnf 3 1\n1 2 3", "unterminated"),
+    ("c only a comment\n", "^missing 'p cnf' header$"),
+    ("p cnf 3 1\n1 2 3 0\np cnf 3 1\n", "^line 3: second 'p cnf' header$"),
+    ("c seed\n1 2 3 0\np cnf 3 1\n", "^line 2: entry before 'p cnf' header$"),
+    ("p qubo 3 1\n1 2 3 0\n", "^line 1: malformed header 'p qubo 3 1'$"),
+    ("p cnf 3 1 1\n1 2 3 0\n", "^line 1: malformed header 'p cnf 3 1 1'$"),
+    ("p cnf 3 one\n1 2 3 0\n", "^line 1: non-integer field in header 'p cnf 3 one'$"),
 ])
 def test_parse_errors(text, match):
     with pytest.raises(ValueError, match=match):
@@ -67,7 +73,7 @@ def _deep_dimacs_lines():
     ("12 -7 0", "clause 398 has 2 literals, expected 3"),
     ("12 -7 5 9 0", "clause 398 has 4 literals, expected 3"),
     ("12 -146 5 0", "variable 146 exceeds declared num_vars=145"),
-    ("p cnf 145 500", "line 400: duplicate problem header"),
+    ("p cnf 145 500", "line 400: second 'p cnf' header"),
 ], ids=["letter", "fraction", "two-literals", "four-literals", "out-of-range", "header"])
 def test_parse_errors_deep_in_a_large_file(line, message):
     lines = _deep_dimacs_lines()

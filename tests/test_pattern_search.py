@@ -186,3 +186,10 @@ def test_calibration_rejects_a_solver_seed_it_would_override():
     config = SolverConfig(kind="brute", samples=1, seed=987654)
     with pytest.raises(ValueError, match="solver seed must be left at 0"):
         select_best_combination(formula, enumerate_combinations(per_type), config, seed=1)
+
+
+def test_calibration_rejects_a_time_limit():
+    formula = CnfFormula(3, (clause_of(1, 2, 3),))
+    config = SolverConfig(kind="tabu", samples=1, seed=0, time_limit_ms=50)
+    with pytest.raises(ValueError, match="^calibration does not take time_limit_ms"):
+        select_best_combination(formula, [builtin_spec("fullapprox")], config, seed=1)

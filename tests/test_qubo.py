@@ -305,6 +305,12 @@ def test_qubo_text_roundtrip_with_layout():
     ("p qubo two 1\n", "line 1: non-integer"),
     ("c aux 1 clause x\np qubo 2 1\n1 1 1\n", "line 1: non-integer"),
     ("c aux 2 clause 0\nc aux 2 clause 1\np qubo 3 1\n0 0 1\n", "line 2: repeated aux index 2"),
+    ("c only a comment\n", "^missing 'p qubo' header$"),
+    ("p qubo 2 1\n0 0 1\np qubo 2 1\n", "^line 3: second 'p qubo' header$"),
+    ("c aux 1 clause 0\n0 0 1\np qubo 2 1\n", "^line 2: entry before 'p qubo' header$"),
+    ("p cnf 2 1\n0 0 1\n", "^line 1: malformed header 'p cnf 2 1'$"),
+    ("p qubo 2\n0 0 1\n", "^line 1: malformed header 'p qubo 2'$"),
+    ("p qubo 2 one\n0 0 1\n", "^line 1: non-integer field in header 'p qubo 2 one'$"),
 ])
 def test_qubo_text_errors(text, match):
     with pytest.raises(ValueError, match=match):

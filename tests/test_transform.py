@@ -323,6 +323,12 @@ def test_pattern_file_roundtrip():
     ("p pattern 3 0 1\n0 1 one\n", "line 2: non-integer"),
     ("p pattern 3 x 1\n", "line 1: non-integer"),
     ("c only a comment\n", "missing 'p pattern' header"),
+    ("\nc no header\n", "^missing 'p pattern' header$"),
+    ("p pattern 3 0 1\n0 0 1\np pattern 3 0 1\n", "^line 3: second 'p pattern' header$"),
+    ("c first\n0 0 1\np pattern 3 0 1\n", "^line 2: entry before 'p pattern' header$"),
+    ("p qubo 3 1\n0 0 1\n", "^line 1: malformed header 'p qubo 3 1'$"),
+    ("p pattern 3 1\n0 0 1\n", "^line 1: malformed header 'p pattern 3 1'$"),
+    ("p pattern 3 0 one\n0 0 1\n", "^line 1: non-integer field in header 'p pattern 3 0 one'$"),
 ])
 def test_pattern_text_errors(text, match):
     with pytest.raises(ValueError, match=match):
