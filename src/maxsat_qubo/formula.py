@@ -55,6 +55,12 @@ class CnfFormula:
         negated.setflags(write=False)
         return variables, negated
 
+    @cached_property
+    def assembly_plans(self) -> dict:
+        """Per pattern dim, the part of a QUBO assembly that depends on the clauses alone;
+        transform fills it on first use."""
+        return {}
+
 
 def clause_of(*lits: int) -> tuple[int, ...]:
     """A clause from DIMACS-style signed integers, e.g. clause_of(1, 2, -3); CnfFormula

@@ -300,7 +300,11 @@ def pruning_schedule(q: QuboMatrix, strategy: str, seed: int = 0) -> list[PruneS
 
 def write_qubo(q: QuboMatrix, layout: VariableLayout | None = None,
                comments: Sequence[str] = ()) -> str:
-    """Serialize a matrix to the QUBO text format; a layout's aux bits become comments."""
+    """Serialize a matrix to the QUBO text format; a layout's aux bits become comments. A
+    free comment may not start with the word aux, which marks those."""
+    for comment in comments:
+        if comment.split()[:1] == ["aux"]:
+            raise ValueError(f"comment {comment!r} starts with 'aux', which marks a layout line")
     if layout is not None:
         if layout.dim != q.dim:
             raise ValueError(f"layout dim {layout.dim} != matrix dim {q.dim}")
@@ -339,11 +343,15 @@ def write_triplets(kind: str, header: Sequence[int], entries: Entries,
 
 
 def parse_qubo(text: str) -> tuple[QuboMatrix, VariableLayout | None]:
-    """Parse QUBO text; returns the layout when aux comments are present."""
+    """Parse QUBO text; returns the layout when aux comments are present. A comment whose
+    first word is aux must read 'c aux <index> clause <owner>'."""
     (dim, _), entries, comments = read_triplets(text, "qubo", 2)
     aux: dict[int, int] = {}
     for lineno, fields in comments:
-        if len(fields) == 5 and fields[1] == "aux" and fields[3] == "clause":
+        line = " ".join(fields)
+        if line[1:].split()[:1] == ["aux"]:  # the first word after the c
+            if len(fields) != 5 or fields[:2] != ["c", "aux"] or fields[3] != "clause":
+                raise ValueError(f"line {lineno}: malformed aux comment {line!r}")
             try:
                 index, owner = map(int, fields[2::2])
             except ValueError:

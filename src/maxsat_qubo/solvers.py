@@ -32,6 +32,9 @@ _OPTION_FIELDS = tuple(dict.fromkeys(name for names in SOLVER_OPTIONS.values() f
 _SA_DEFAULTS = {"sa_sweeps": 1000, "sa_beta_start": 0.1, "sa_beta_end": 10.0}
 
 _BIG = np.int64(1) << 62
+# the fewest entries a tabu flip log starts with: a fold, a dozen numpy calls, then comes
+# at most once per _LOG_ROWS / 2 iterations
+_LOG_ROWS = 256
 
 
 def require_integers(obj, names: Sequence[str]) -> None:
@@ -123,9 +126,17 @@ def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConf
     cell's latest flip, the one record of renewals: each iteration a flip masks one cell
     per row (a renewed cell, flipped again while tabu, is unmasked first), and the flip
     `tenure` iterations back unmasks its cell only if that flip is still the cell's
-    latest, O(k) each. The cells flipped in the last min(iteration, tenure) iterations
-    sit in a ring that doubles from min(tenure, dim) slots as it fills; the aspiration
-    test gathers all of them, O(k·min(tenure, iterations)) per iteration.
+    latest, O(k) each.
+
+    A log holds each iteration's flipped cells. Its last min(iteration, tenure) entries
+    are the tabu window, which the aspiration test gathers, O(k·min(tenure, iterations))
+    per iteration. An iteration records only each row's best energy and its flip count
+    there; the best rows are rebuilt once at the end, from the final state with each
+    row's later flips undone. A full log of 2·tenure or more entries folds: the best rows
+    it reaches back to are rebuilt and stored, and only its tabu window is kept. A
+    shorter one doubles. The log starts at max(_LOG_ROWS, 2·min(tenure, dim)) entries, or
+    the iteration limit if lower, so a run with tenure <= dim holds a fixed
+    O(k·max(_LOG_ROWS, tenure)) however long it runs.
     """
     start, time_limit_ms = time.perf_counter(), config.time_limit_ms
     dim = len(compiled.diag)
@@ -135,22 +146,38 @@ def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConf
     tenure = config.tabu_tenure or max(10, dim // 10)
     _, X, D, E = _initial_states(compiled, seeds)
     S = 1 - 2 * X
-    best_energy, best_S = E.copy(), S.copy()
+    best_energy, best_S = E.copy(), np.empty_like(S)  # best_S is filled by _rebuild_best
     # flat views: one flat index per cell is cheaper than a (row, column) pair
     flat_S, flat_D = S.reshape(-1), D.reshape(-1)
     row_start = np.arange(len(seeds)) * dim
-    # ring[j % len(ring)] holds the cells flipped at iteration j
-    ring = np.empty((min(tenure, dim), len(seeds)), dtype=np.int64)
+    # log[j - base] holds the cells flipped at iteration j; best_at[r] counts the flips
+    # row r had made when it reached best_energy[r]
+    size = max(_LOG_ROWS, 2 * min(tenure, dim))
+    if iteration_limit is not None:
+        size = min(size, iteration_limit)
+    log = np.empty((size, len(seeds)), dtype=np.int64)
+    base = 0
+    best_at = np.zeros(len(seeds), dtype=np.int64)
     latest = np.full(D.size, -1, dtype=np.int64)  # the iteration of each cell's latest flip
     iteration = 0
     while iteration_limit is None or iteration < iteration_limit:
         if time_limit_ms is not None and (time.perf_counter() - start) * 1000 >= time_limit_ms:
             break
+        end = iteration - base
+        if end == len(log):
+            if 2 * tenure <= end:
+                # fold: store the best rows the log reaches back to, keep its tabu window
+                _rebuild_best(best_S, S, log, base, best_at)
+                log[:tenure] = log[end - tenure:]
+                base, end = iteration - tenure, tenure
+            else:
+                log = np.concatenate([log, np.empty_like(log)])
         flip = D.argmin(axis=1)
-        # every cell in the ring is tabu; aspiration allows those that beat the incumbent
-        tabu = ring[:iteration]
+        # every cell flipped in the last `tenure` iterations is tabu; aspiration allows
+        # those that beat the incumbent
+        tabu = log[end - min(iteration, tenure):end]
         aspiring = flat_D[tabu] < best_energy - E + _BIG
-        # only a ring of dim or more flips can leave a row's every bit, and its argmin, tabu
+        # only dim or more recent flips can leave a row's every bit, and its argmin, tabu
         may_renew = len(tabu) >= dim
         if np.count_nonzero(aspiring):
             # unmasked, a bit that beats its row's incumbent beats every masked bit, so
@@ -173,20 +200,31 @@ def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConf
         flat_D[nbrs] += flat_S[nbrs] * sign[:, None] * compiled.weight.take(flip, axis=0)
         E += gain
         latest[cells] = iteration
-        if iteration == len(ring) < tenure:
-            ring = np.concatenate([ring, np.empty_like(ring[:tenure - len(ring)])])
-        slot = iteration % len(ring)
         if iteration >= tenure:
-            # a cell flipped again since ring[slot]'s flip stays masked
-            expired = ring[slot]
+            # a cell flipped again since the flip `tenure` iterations back stays masked
+            expired = log[end - tenure]
             flat_D[expired[latest[expired] == iteration - tenure]] -= _BIG
-        ring[slot] = cells
+        log[end] = cells
         improved = E < best_energy
+        iteration += 1
         if np.count_nonzero(improved):
             best_energy[improved] = E[improved]
-            best_S[improved] = S[improved]
-        iteration += 1
+            best_at[improved] = iteration
+    _rebuild_best(best_S, S, log[:iteration - base], base, best_at)
     return best_energy, (1 - best_S) // 2
+
+
+def _rebuild_best(best_S, S, log, base, best_at) -> None:
+    """Write into best_S the best row of each row r whose best came at flip best_at[r] >=
+    base: S with the flips the log holds from best_at[r] on undone. log[j] holds the
+    flat cells of flip base + j, so it must reach S's flip count."""
+    rows = best_at >= base
+    undone = (np.arange(base, base + len(log))[:, None] >= best_at) & rows
+    odd = np.bincount(log[undone], minlength=S.size)
+    odd &= 1  # in place: the one (k, dim) temporary
+    np.copyto(best_S, S, where=rows[:, None])
+    flat, flipped = best_S.reshape(-1), np.flatnonzero(odd)
+    flat[flipped] = -flat[flipped]
 
 
 def _batch_sa(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConfig):

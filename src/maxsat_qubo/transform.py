@@ -6,7 +6,8 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from itertools import compress
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -261,24 +262,55 @@ def builtin_spec(name: str) -> TransformSpec:
     return TransformSpec(name, patterns)
 
 
-def _sum_patterns(formula: CnfFormula, dim: int, patterns: Sequence[ClausePattern],
+class _AssemblyPlan(NamedTuple):
+    """How clause slot pairs land on matrix entries, for one formula and pattern dim."""
+
+    dim: int  # the matrix dim
+    order: np.ndarray  # the flat (clause, slot pair) cells sorted by the entry they land on
+    starts: np.ndarray  # where each entry's run of cells starts in that order
+    # the (i, j) key of each entry, ascending, as i's and j's: two tuples of shared ints
+    # take a third of the memory of one tuple per key
+    first: tuple[int, ...]
+    second: tuple[int, ...]
+
+
+def _assembly_plan(formula: CnfFormula, pattern_dim: int) -> _AssemblyPlan:
+    """The formula's cached read-only plan for patterns of a dim: slots 0..2 are clause
+    l's canonical variables and slot 3 is its aux bit n + l; the matrix dim is n + m for
+    4x4 patterns and n for 3x3 ones."""
+    plan = formula.assembly_plans.get(pattern_dim)
+    if plan is None:
+        n, m = formula.num_vars, formula.num_clauses
+        dim = n + m if pattern_dim == 4 else n
+        slots = np.c_[formula.clause_arrays[0], n + np.arange(m)]
+        keys = (np.sort(slots[:, SLOT_ORDERS[pattern_dim]], axis=2) @ (dim, 1)).ravel()
+        order = np.argsort(keys)
+        keys, starts = np.unique(keys[order], return_index=True)
+        index = list(range(dim))  # entry keys share one int object per index
+        first, second = (tuple(map(index.__getitem__, part.tolist()))
+                         for part in np.divmod(keys, dim))
+        plan = _AssemblyPlan(dim, order, starts, first, second)
+        plan.order.setflags(write=False)
+        plan.starts.setflags(write=False)
+        formula.assembly_plans[pattern_dim] = plan
+    return plan
+
+
+def _sum_patterns(formula: CnfFormula, patterns: Sequence[ClausePattern],
                   choice: np.ndarray) -> QuboMatrix:
-    """Sum patterns[choice[l]] over the clauses l into a dim x dim matrix (slots 0..2: clause
-    l's canonical variables, 3: its aux bit n + l); ValueError for magnitudes that could wrap."""
+    """Sum patterns[choice[l]] over the clauses l along the formula's assembly plan for
+    their dim; ValueError for magnitudes that could wrap."""
     rows = [pattern.row for pattern in patterns]
     magnitudes = [sum(map(abs, row)) for row in rows]
     uses = np.bincount(choice, minlength=len(rows)).tolist()
     if max(magnitudes + [sum(w * u for w, u in zip(magnitudes, uses))]) >= EXACT_INT64_BOUND:
         raise ValueError("coefficient magnitudes sum to 2^62 or more; int64 sums could wrap")
-    slots = np.c_[formula.clause_arrays[0], formula.num_vars + np.arange(len(choice))]
-    keys = (np.sort(slots[:, SLOT_ORDERS[patterns[0].dim]], axis=2) @ (dim, 1)).ravel()
-    order = np.argsort(keys)
-    keys, starts = np.unique(keys[order], return_index=True)
+    dim, order, starts, first, second = _assembly_plan(formula, patterns[0].dim)
     sums = np.add.reduceat(np.array(rows, dtype=np.int64)[choice].ravel()[order], starts)
-    keys, sums = keys[sums != 0].tolist(), sums[sums != 0].tolist()
-    del slots, order, starts  # free the int64 temporaries before the dict is built
-    index = list(range(dim))  # entry keys share one int object per index
-    return QuboMatrix(dim, {(index[k // dim], index[k % dim]): v for k, v in zip(keys, sums)})
+    kept = sums != 0
+    mask = kept.tolist()
+    keys = zip(compress(first, mask), compress(second, mask))
+    return QuboMatrix(dim, dict(zip(keys, sums[kept].tolist())))
 
 
 def assemble(formula: CnfFormula, spec: TransformSpec) -> tuple[QuboMatrix, VariableLayout]:
@@ -286,11 +318,13 @@ def assemble(formula: CnfFormula, spec: TransformSpec) -> tuple[QuboMatrix, Vari
 
     Each clause's pattern lands on its canonically ordered variables; specs
     with auxiliary slots bind clause l's aux to index n + l. Coefficients
-    that cancel to zero are not stored.
+    that cancel to zero are not stored. Where each clause slot pair lands
+    is the formula's assembly plan for the spec's pattern dim, built on
+    first use and cached on the formula, so assembling many specs of one
+    formula pays for it once.
     """
     n, m = formula.num_vars, formula.num_clauses
-    matrix = _sum_patterns(formula, n + m if spec.uses_aux else n, spec.patterns,
-                           formula.clause_arrays[1].sum(axis=1))
+    matrix = _sum_patterns(formula, spec.patterns, formula.clause_arrays[1].sum(axis=1))
     return matrix, VariableLayout(n, tuple(range(m)) if spec.uses_aux else ())
 
 
@@ -327,7 +361,7 @@ def approximate_with_hint(formula: CnfFormula, hint: Sequence[int],
         flat += patterns
     variables, negated = formula.clause_arrays
     hinted = np.asarray(hint, dtype=np.int64)[variables] @ (4, 2, 1)  # index into TRIPLES
-    return _sum_patterns(formula, formula.num_vars, flat, np.array(table)[negated.sum(1), hinted])
+    return _sum_patterns(formula, flat, np.array(table)[negated.sum(1), hinted])
 
 
 def decode(bits: Sequence[int], layout: VariableLayout) -> tuple[int, ...]:

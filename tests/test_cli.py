@@ -155,7 +155,10 @@ _DEEP_QUBO = "".join(["p qubo 30 465\n", *(f"{i} {j} 1\n" for i in range(30)
      "error: line 303: non-integer clause token\n"),
     (["solve", "--solver", "brute"], "deep.qubo", _DEEP_QUBO,
      "error: line 466: duplicate entry (12, 19)\n"),
-], ids=["literal-beyond-int64", "coefficient-beyond-int64", "deep-cnf-token", "deep-qubo-entry"])
+    (["solve", "--solver", "brute"], "aux.qubo", "c aux 2 clase 0\np qubo 3 1\n0 0 1\n",
+     "error: line 1: malformed aux comment 'c aux 2 clase 0'\n"),
+], ids=["literal-beyond-int64", "coefficient-beyond-int64", "deep-cnf-token", "deep-qubo-entry",
+        "malformed-aux-comment"])
 def test_bad_input_files_give_an_error_line(tmp_path, capsys, command, name, text, message):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")

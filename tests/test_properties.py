@@ -4,12 +4,14 @@ their reference results."""
 
 import hashlib
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from maxsat_qubo import solvers
 from maxsat_qubo.formula import (CnfFormula, classify_clause, clause_of, generate_balanced,
                                  parse_dimacs, write_dimacs)
 from maxsat_qubo.pattern_search import enumerate_combinations, search_3x3, search_4x4
@@ -359,6 +361,35 @@ def test_hint_assembly_matches_per_clause_reference(formula, bits):
     assert matrix.entries == _reference_sum(formula, formula.num_vars, choose)
 
 
+@st.composite
+def specs(draw, dim):
+    """A spec of four drawn patterns, each a random one or a built-in one."""
+    builtins = [p for name in BUILTIN_SPEC_NAMES for p in builtin_spec(name).patterns
+                if p.dim == dim]
+    return TransformSpec(f"drawn-{dim}x{dim}", tuple(draw(st.lists(
+        st.one_of(clause_patterns(dim), st.sampled_from(builtins)), min_size=4, max_size=4))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(formula=formulas(), first=specs(3), second=specs(4),
+       bits=st.lists(st.integers(0, 1), min_size=12, max_size=12))
+@example(formula=CANCELLING, first=builtin_spec("fullapprox"),
+         second=builtin_spec("nuesslein"), bits=[1, 1, 0] + [0] * 9)
+def test_assembly_plans_cached_on_a_formula_serve_every_later_assembly(formula, first,
+                                                                       second, bits):
+    """Interleaved assemblies on one formula (3x3, 4x4, hint, 3x3 again) each give the
+    text that assembling on a fresh copy of the formula gives, cancelled entries
+    included."""
+    hint = tuple(bits[:formula.num_vars])
+    steps = [lambda f: write_qubo(*assemble(f, first)),
+             lambda f: write_qubo(*assemble(f, second)),
+             lambda f: write_qubo(approximate_with_hint(f, hint, APPROX_SETS)),
+             lambda f: write_qubo(*assemble(f, first))]
+    assert [step(formula) for step in steps] == \
+        [step(CnfFormula(formula.num_vars, formula.clauses)) for step in steps]
+    assert sorted(formula.assembly_plans) == [3, 4]
+
+
 def test_assembly_refuses_inexact_sums():
     formula = CnfFormula(3, (clause_of(1, 2, 3), clause_of(1, 2, -3)))
     small = ClausePattern(3, {(0, 0): -1})
@@ -495,9 +526,9 @@ def test_tabu_matches_reference_rule(shape, data):
 
 @pytest.mark.parametrize("dim, couplings", [(1, 0), (10, 45), (16, 60), (24, 100)])
 def test_tabu_tenure_beyond_dim_matches_reference_rule(dim, couplings):
-    """A tenure of 3·dim over 5·dim iterations: the ring of recent flips starts at dim
-    slots, doubles up to the tenure and then wraps. Rows stuck with every bit tabu free
-    bits again as the ring wraps, so a ring past the tenure changes some best results."""
+    """A tenure of 3·dim over 5·dim iterations: rows stuck with every bit tabu free bits
+    again as their flips leave the tabu window, so a window past the tenure changes some
+    best results."""
     for seed in range(10):
         q = random_qubo(dim, couplings, seed, -9, 9)
         config = SolverConfig(kind="tabu", samples=4, seed=seed, iteration_limit=5 * dim,
@@ -535,6 +566,64 @@ def test_tabu_renews_a_bit_that_aspiration_flips_again():
     assert aspirations == [3]
     config = SolverConfig(kind="tabu", samples=1, seed=52, iteration_limit=16, tabu_tenure=3)
     assert [(r.bits, r.energy) for r in solve(q, config)] == [expected]
+
+
+def _fold_size(dim, tenure, log_rows):
+    """The flip log's length when it first folds: max(log_rows, 2·min(tenure, dim))
+    entries, doubled until they hold two tabu windows."""
+    size = max(log_rows, 2 * min(tenure, dim))
+    while size < 2 * tenure:
+        size *= 2
+    return size
+
+
+@pytest.mark.parametrize("dim, tenure, iterations", [
+    (10, 3, 800), (10, 10, 800), (10, 40, 800), (8, 200, 1600),
+], ids=["below-dim", "at-dim", "above-dim", "above-dim-after-doubling"])
+def test_tabu_log_folds_match_reference_rule(dim, tenure, iterations):
+    """Runs of three or more folds of the flip log at its real size: rows whose best came
+    before the last fold return the best row stored there, the others one rebuilt at the
+    end."""
+    assert iterations >= 3 * _fold_size(dim, tenure, solvers._LOG_ROWS)
+    for seed in range(2):
+        q = random_qubo(dim, 3 * dim, seed, -9, 9)
+        config = SolverConfig(kind="tabu", samples=3, seed=seed, iteration_limit=iterations,
+                              tabu_tenure=tenure)
+        assert [(r.bits, r.energy) for r in solve(q, config)] == \
+            [_reference_tabu(q, mix(seed, r), iterations, tenure) for r in range(3)]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_tabu_with_a_short_log_matches_reference_rule(shape, data):
+    """A flip log shortened to a few entries folds every few iterations, over tenures below,
+    at and above dim."""
+    q, _ = data.draw(matrices(shape))
+    log_rows = data.draw(st.integers(1, 4))
+    tenure = data.draw(st.one_of(st.integers(1, 3), st.integers(q.dim, q.dim + 3)))
+    seed, samples = data.draw(st.integers(0, 2 ** 64 - 1)), data.draw(st.integers(1, 3))
+    iterations = 3 * _fold_size(q.dim, tenure, log_rows) + data.draw(st.integers(0, 10))
+    config = SolverConfig(kind="tabu", samples=samples, seed=seed, iteration_limit=iterations,
+                          tabu_tenure=tenure)
+    with mock.patch.object(solvers, "_LOG_ROWS", log_rows):
+        results = solve(q, config)
+    assert [(r.bits, r.energy) for r in results] == \
+        [_reference_tabu(q, mix(seed, r), iterations, tenure) for r in range(samples)]
+
+
+def test_tabu_renews_a_bit_across_log_folds():
+    """The renewal of test_tabu_renews_a_bit_that_aspiration_flips_again with the log
+    folding every 3 iterations from iteration 6: the renewed bit's tabu window spans the
+    first fold."""
+    q = QuboMatrix(4, {(0, 0): 5, (1, 1): 1, (2, 2): -3, (3, 3): 1, (0, 1): -5, (0, 2): 5,
+                       (0, 3): -2, (1, 2): 5, (1, 3): -4, (2, 3): -3})
+    aspirations = []
+    expected = _reference_tabu(q, mix(52, 0), 24, 3, aspirations)
+    assert aspirations == [3] and _fold_size(4, 3, 1) == 6
+    config = SolverConfig(kind="tabu", samples=1, seed=52, iteration_limit=24, tabu_tenure=3)
+    with mock.patch.object(solvers, "_LOG_ROWS", 1):
+        assert [(r.bits, r.energy) for r in solve(q, config)] == [expected]
 
 
 def test_time_limited_tabu_with_a_huge_tenure():

@@ -294,6 +294,13 @@ def test_qubo_text_roundtrip_with_layout():
     assert parsed_layout == layout
 
 
+def test_qubo_writer_refuses_a_free_comment_read_as_aux():
+    q = QuboMatrix(3, {(0, 0): 1})
+    with pytest.raises(ValueError, match="^comment ' aux 2 clause 0' starts with 'aux'"):
+        write_qubo(q, comments=["transform=x", " aux 2 clause 0"])
+    assert parse_qubo(write_qubo(q, comments=["auxiliary bits: none"])) == (q, None)
+
+
 @pytest.mark.parametrize("text,match", [
     ("0 0 1\n", "header"),
     ("p qubo 2 1\n0 0 1\n0 1 2\n", "declares"),
@@ -311,6 +318,9 @@ def test_qubo_text_roundtrip_with_layout():
     ("p cnf 2 1\n0 0 1\n", "^line 1: malformed header 'p cnf 2 1'$"),
     ("p qubo 2\n0 0 1\n", "^line 1: malformed header 'p qubo 2'$"),
     ("p qubo 2 one\n0 0 1\n", "^line 1: non-integer field in header 'p qubo 2 one'$"),
+    ("c aux 2 clase 0\np qubo 3 1\n0 0 1\n", "^line 1: malformed aux comment 'c aux 2 clase 0'$"),
+    ("p qubo 3 1\nc aux 2 clause 0 extra\n0 0 1\n",
+     "^line 2: malformed aux comment 'c aux 2 clause 0 extra'$"),
 ])
 def test_qubo_text_errors(text, match):
     with pytest.raises(ValueError, match=match):
