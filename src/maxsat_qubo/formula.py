@@ -105,7 +105,11 @@ def read_lines(text: str, kind: str, header_ints: int, comments: list | None = N
 def write_lines(kind: str, header: Sequence[int], lines: Sequence[str],
                 comments: Sequence[str] = ()) -> str:
     """The text read_lines reads: 'c' comment lines, then 'p <kind> <header integers>
-    <line count>', then the body lines, each ending in a newline."""
+    <line count>', then the body lines, each ending in a newline. A comment that holds a
+    line break is refused: read_lines would read its second line as a body line."""
+    for comment in comments:
+        if "".join(comment.splitlines()) != comment:
+            raise ValueError(f"comment {comment!r} holds a line break")
     head = "".join(f"c {comment}\n" for comment in comments)
     return f"{head}{' '.join(['p', kind, *map(str, header), str(len(lines))])}\n{''.join(lines)}"
 

@@ -94,12 +94,15 @@ class CompiledQubo(NamedTuple):
     def gains(self, rows: np.ndarray) -> np.ndarray:
         """Energy change from flipping each bit in each row of a (k, dim) matrix.
 
-        That is (1 - 2 x_i) times bit i's local field diag_i + sum_j c_ij x_j.
+        That is (1 - 2 x_i) times bit i's local field diag_i + sum_j c_ij x_j. The fields
+        are summed bit-major, on a contiguous (dim, k) transpose of the rows, with one row
+        gather per padded neighbour slot.
         """
-        fields = np.repeat(self.diag[None, :], len(rows), axis=0)
+        columns = np.ascontiguousarray(rows.T)
+        fields = np.repeat(self.diag[:, None], len(rows), axis=1)
         for s in range(self.idx.shape[1]):
-            fields += rows[:, self.idx[:, s]] * self.weight[:, s]
-        return (1 - 2 * rows) * fields
+            fields += columns.take(self.idx[:, s], axis=0) * self.weight[:, s, None]
+        return (1 - 2 * rows) * fields.T
 
     def energies(self, rows: np.ndarray, gains: np.ndarray | None = None) -> np.ndarray:
         """Energy of each row; pass the rows' flip gains when they are already at hand."""

@@ -35,6 +35,9 @@ _BIG = np.int64(1) << 62
 # the fewest entries a tabu flip log starts with: a fold, a dozen numpy calls, then comes
 # at most once per _LOG_ROWS / 2 iterations
 _LOG_ROWS = 256
+# the uniforms an SA block holds when dim·k is smaller: a numpy call per sweep and sample
+# is then paid once per block
+_SA_BLOCK = 1 << 16
 
 
 def require_integers(obj, names: Sequence[str]) -> None:
@@ -227,6 +230,25 @@ def _rebuild_best(best_S, S, log, base, best_at) -> None:
     flat[flipped] = -flat[flipped]
 
 
+def _sa_schedule(config: SolverConfig, gens, dim: int):
+    """Each sweep's beta and its (dim, k) block of uniforms, bit-major.
+
+    Betas and uniforms are drawn _SA_BLOCK // (dim·k) sweeps at a time (at least one), so a
+    call holds at most max(_SA_BLOCK, dim·k) of either, whatever sa_sweeps is. A block's
+    g.random((b, dim)) is the stream of b calls of g.random(dim).
+    """
+    sweeps, beta_start = config.sa_sweeps, config.sa_beta_start
+    ratio, last = config.sa_beta_end / beta_start, max(1, sweeps - 1)
+    block = max(1, _SA_BLOCK // (dim * len(gens)))
+    for first in range(0, sweeps, block):
+        count = min(block, sweeps - first)
+        betas = beta_start * ratio ** (np.arange(first, first + count) / last)
+        uniforms = np.empty((count, dim, len(gens)))
+        for r, g in enumerate(gens):
+            uniforms[:, :, r] = g.random((count, dim))
+        yield from zip(betas, uniforms)
+
+
 def _batch_sa(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConfig):
     """Lockstep Metropolis annealing on a geometric beta schedule, one colour class at a time.
 
@@ -235,11 +257,17 @@ def _batch_sa(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConfig
     and its flip difference and accept decision (u < exp(-beta * max(delta, 0)), u drawn
     per bit per sweep) are made on that state; all accepted flips apply together and the
     best state is tracked after each class.
+
+    The state is bit-major, XT of shape (dim, k): row i holds bit i of every sample, so a
+    class reads its bits, neighbours and uniforms with row gathers and writes its flips
+    back with one row assignment. Rows are transposed back to (k, dim) only when a best
+    state is stored. Betas and uniforms come from _sa_schedule in bounded blocks.
     """
-    start, time_limit_ms, sweeps = time.perf_counter(), config.time_limit_ms, config.sa_sweeps
+    start, time_limit_ms = time.perf_counter(), config.time_limit_ms
     dim = len(compiled.diag)
     gens, X, _, E = _initial_states(compiled, seeds)
     best_energy, best_bits = E.copy(), X.copy()
+    XT = np.ascontiguousarray(X.T)  # a view of X when k = 1, hence the copy above
     # per class, its bits' neighbour lists end to end, split at starts. reduceat reads an
     # empty segment as the next element, so a bit without neighbours keeps one slot: the
     # appended column, on itself with weight 0.
@@ -250,25 +278,23 @@ def _batch_sa(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConfig
     for members in compiled.colour_classes():
         kept = np.arange(idx.shape[1]) < slots[members, None]
         starts = np.cumsum(slots[members]) - slots[members]
-        classes.append((members, compiled.diag[members], idx[members][kept],
-                        weight[members][kept], starts))
-    exponents = np.arange(sweeps) / max(1, sweeps - 1)
-    betas = config.sa_beta_start * (config.sa_beta_end / config.sa_beta_start) ** exponents
-    for beta in betas:
+        classes.append((members, compiled.diag[members, None], idx[members][kept],
+                        weight[members][kept][:, None], starts))
+    for beta, uniforms in _sa_schedule(config, gens, dim):
         if time_limit_ms is not None and (time.perf_counter() - start) * 1000 >= time_limit_ms:
             break
-        uniforms = np.stack([g.random(dim) for g in gens])
         for members, diag, nbrs, nbr_weight, starts in classes:
-            flip = 1 - 2 * X[:, members]
-            delta = flip * (diag + np.add.reduceat(X[:, nbrs] * nbr_weight, starts, axis=1))
+            current = XT.take(members, axis=0)
+            fields = diag + np.add.reduceat(XT.take(nbrs, axis=0) * nbr_weight, starts, axis=0)
+            delta = (1 - 2 * current) * fields
             # uniforms lie in [0, 1) and a downhill move's threshold is exp(0) = 1
-            accepted = uniforms[:, members] < np.exp(-beta * np.maximum(delta, 0))
-            X[:, members] += flip * accepted
-            E += (delta * accepted).sum(axis=1)
+            accepted = uniforms.take(members, axis=0) < np.exp(-beta * np.maximum(delta, 0))
+            XT[members] = current ^ accepted
+            E += (delta * accepted).sum(axis=0)
             improved = E < best_energy
             if improved.any():
                 best_energy[improved] = E[improved]
-                best_bits[improved] = X[improved]
+                best_bits[improved] = XT[:, improved].T
     return best_energy, best_bits
 
 

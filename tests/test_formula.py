@@ -101,6 +101,14 @@ def test_write_comments_are_ignored_by_parse():
     assert parse_dimacs(text) == formula
 
 
+@pytest.mark.parametrize("comment", ["a\rb", "seed=7\n1 2 3 0", "tail\n", "x\u2028y"])
+def test_write_refuses_a_comment_with_a_line_break(comment):
+    formula = parse_dimacs(EXAMPLE1_TEXT)
+    message = f"^comment {re.escape(repr(comment))} holds a line break$"
+    with pytest.raises(ValueError, match=message):
+        write_dimacs(formula, comments=["seed=7", comment])
+
+
 def test_roundtrip_random_formulas():
     for seed in range(20):
         formula = random_formula(8, 15, seed)

@@ -301,6 +301,14 @@ def test_qubo_writer_refuses_a_free_comment_read_as_aux():
     assert parse_qubo(write_qubo(q, comments=["auxiliary bits: none"])) == (q, None)
 
 
+@pytest.mark.parametrize("comment", ["run 1\n0 1 5", "a\r\nb", "x\x0cy"])
+def test_qubo_writer_refuses_a_comment_with_a_line_break(comment):
+    q = QuboMatrix(2, {(0, 0): 1})
+    message = f"^comment {re.escape(repr(comment))} holds a line break$"
+    with pytest.raises(ValueError, match=message):
+        write_qubo(q, VariableLayout(1, (0,)), comments=[comment])
+
+
 @pytest.mark.parametrize("text,match", [
     ("0 0 1\n", "header"),
     ("p qubo 2 1\n0 0 1\n0 1 2\n", "declares"),

@@ -1,12 +1,15 @@
 """Sampler correctness: exact deltas, determinism, incumbent tracking, budgets."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from maxsat_qubo.formula import CnfFormula, brute_force_maxsat, count_satisfied
 from maxsat_qubo.qubo import QuboMatrix, VariableLayout, brute_force_min, energy, minimize_with_aux
+from maxsat_qubo import solvers
 from maxsat_qubo.rng import generator, mix
 from maxsat_qubo.solvers import (
     SolverConfig,
@@ -235,6 +238,38 @@ def test_batch_rows_match_single_runs(kind, extra):
             single = simulated_annealing(q, extra["sa_sweeps"], 0.1, 10.0, seed)
         assert batch[r].bits == single.bits
         assert batch[r].energy == single.energy
+
+
+def test_batch_rows_match_single_runs_across_uniform_blocks():
+    """dim·k = 2400 puts SA's block edges at sweeps 27 and 54, so the last block is
+    partial; a single run (k=1) draws all 60 sweeps in one block."""
+    q = random_qubo(60, 150, 41)
+    config = SolverConfig(kind="sa", samples=40, seed=8, sa_sweeps=60, sa_beta_start=0.3,
+                          sa_beta_end=4.0)
+    block = solvers._SA_BLOCK // (q.dim * config.samples)
+    assert 0 < block < config.sa_sweeps and config.sa_sweeps % block
+    assert solvers._SA_BLOCK // q.dim >= config.sa_sweeps
+    singles = [simulated_annealing(q, 60, 0.3, 4.0, mix(8, r)) for r in range(40)]
+    assert [(r.bits, r.energy, r.seed_used) for r in solve(q, config)] == \
+        [(r.bits, r.energy, r.seed_used) for r in singles]
+
+
+def test_sa_huge_sweep_budget_under_a_time_limit_holds_one_block():
+    """The beta schedule and the uniforms are drawn one bounded block at a time, so ten
+    million sweeps under a 1 ms limit allocate no array of sweeps."""
+    q = QuboMatrix(2, {(0, 0): -1, (0, 1): 2})
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        results = solve(q, SolverConfig(kind="sa", samples=3, sa_sweeps=10 ** 7,
+                                        time_limit_ms=1))
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert elapsed < 1.0
+    assert [r.energy for r in results] == [energy(q, r.bits) for r in results]
 
 
 def test_results_energy_reverifies_and_incumbent_monotone():
