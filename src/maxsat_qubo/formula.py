@@ -5,6 +5,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -258,38 +259,43 @@ def generate_balanced(num_vars: int, num_clauses: int, seed: int) -> CnfFormula:
     )
 
 
-def assignment_bits(index: int, num_vars: int) -> tuple[int, ...]:
-    """Assignment encoded by an integer, variable 1 as the least-significant bit."""
-    return tuple((index >> i) & 1 for i in range(num_vars))
+def enumerate_rows(radix: int, width: int):
+    """Every row of `width` base-`radix` digits in ascending order, the first digit most
+    significant, as (k, width) int64 blocks of at most _CHUNK rows. A block is one prefix
+    over every suffix of the longest width that fits; the suffix table is built once."""
+    low = next(w for w in range(width, -1, -1) if radix ** w <= _CHUNK)
+    place = radix ** np.arange(low - 1, -1, -1, dtype=np.int64)
+    suffixes = np.arange(radix ** low, dtype=np.int64)[:, None] // place % radix
+    for prefix in product(range(radix), repeat=width - low):
+        block = np.empty((len(suffixes), width), dtype=np.int64)
+        block[:, :width - low] = prefix
+        block[:, width - low:] = suffixes
+        yield block
 
 
 def enumerate_min(num_bits: int, values_of) -> tuple[int, tuple[int, ...]]:
     """Minimum of values_of over all 2^num_bits 0/1 vectors, in chunks.
 
-    values_of maps a (k, num_bits) int64 block of consecutive assignments
-    (see assignment_bits) to their k values. The witness is the lowest-value
-    assignment attaining the minimum. More than MAX_ENUMERATION_BITS bits raise ValueError.
+    values_of maps a (k, num_bits) int64 block of consecutive assignments, variable 1 the
+    least-significant bit, to their k values. The witness is the lowest-value assignment
+    attaining the minimum. More than MAX_ENUMERATION_BITS bits raise ValueError.
     """
     if num_bits > MAX_ENUMERATION_BITS:
         raise ValueError(f"enumeration limited to {MAX_ENUMERATION_BITS} bits, got {num_bits}")
-    best_value = best_index = None
-    total = 1 << num_bits
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        values = values_of((idx[:, None] >> np.arange(num_bits)) & 1)
+    best_value = witness = None
+    for digits in enumerate_rows(2, num_bits):
+        rows = digits[:, ::-1]
+        values = values_of(rows)
         chunk_index = int(np.argmin(values))
         if best_value is None or values[chunk_index] < best_value:
             best_value = int(values[chunk_index])
-            best_index = start + chunk_index
-    return best_value, assignment_bits(best_index, num_bits)
+            witness = tuple(rows[chunk_index].tolist())
+    return best_value, witness
 
 
 def brute_force_maxsat(formula: CnfFormula) -> tuple[int, tuple[int, ...]]:
-    """Exact MAX-3SAT by enumeration; witness is the lowest-value optimum.
-
-    Assignments are ordered by their binary value with variable 1 as the
-    least-significant bit.
-    """
+    """Exact MAX-3SAT by enumeration; the witness is the lowest-value optimum in
+    enumerate_min's order."""
     best, witness = enumerate_min(formula.num_vars,
                                   lambda rows: -count_satisfied_many(formula, rows))
     return -best, witness

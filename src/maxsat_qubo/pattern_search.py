@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .formula import CnfFormula
+from .formula import CnfFormula, enumerate_rows
 from .qubo import EXACT_INT64_BOUND
 from .rng import mix
 from .solvers import satisfied_counts, solve
@@ -17,8 +17,7 @@ from .solvers import satisfied_counts, solve
 from .transform import (EXACT_ALL_7, SLOT_ORDERS, ClausePattern, TransformSpec, assemble,
                         coverage_check, meets_criterion, triple_energies)
 
-MAX_4X4_CANDIDATES = 10 ** 8
-_CHUNK = 1 << 18
+MAX_SEARCH_CANDIDATES = 10 ** 8
 
 # canonical search values; enumeration over them finds this many
 # 6-of-7 approximations for every clause type
@@ -44,15 +43,15 @@ def _search(values, dim: int, clause_type: int, criterion: str) -> list[ClausePa
     """Patterns meeting the criterion among all rows of SLOT_ORDERS[dim] coefficients."""
     order = SLOT_ORDERS[dim]
     vals = _as_values(values)
+    total = len(vals) ** len(order)
+    if total > MAX_SEARCH_CANDIDATES:
+        raise ValueError(f"{total} candidates exceed the {MAX_SEARCH_CANDIDATES} guard")
     if max(map(abs, vals)) * len(order) >= EXACT_INT64_BOUND:
         raise ValueError("search values this large could give energies of 2^62 or more")
     vals = np.asarray(vals, dtype=np.int64)
-    total = len(vals) ** len(order)
-    place = len(vals) ** np.arange(len(order) - 1, -1, -1, dtype=np.int64)
     patterns = []
-    for start in range(0, total, _CHUNK):
-        indices = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        candidates = vals[indices[:, None] // place % len(vals)]
+    for digits in enumerate_rows(len(vals), len(order)):
+        candidates = vals[digits]
         keep = meets_criterion(triple_energies(candidates, dim), clause_type, criterion)
         patterns += [ClausePattern(dim, {key: int(c) for key, c in zip(order, row) if c})
                      for row in candidates[keep]]
@@ -60,20 +59,14 @@ def _search(values, dim: int, clause_type: int, criterion: str) -> list[ClausePa
 
 
 def search_3x3(values, clause_type: int, criterion: str) -> list[ClausePattern]:
-    """All 3x3 patterns over the value set meeting the criterion, in enumeration order.
-
-    Candidates are the |S|^6 assignments to (a1, a2, a3, a12, a13, a23),
-    enumerated lexicographically over the value set's own ordering.
-    """
+    """All 3x3 patterns over the value set that meet the criterion, among the |S|^6 rows
+    of (a1, a2, a3, a12, a13, a23) in lexicographic order over the value set's own order."""
     return _search(values, 3, clause_type, criterion)
 
 
 def search_4x4(values, clause_type: int) -> list[ClausePattern]:
     """All 4x4 patterns over the value set whose aux-minimized triple energies
     put every satisfying assignment at the minimum and the falsifying one above it."""
-    total = len(_as_values(values)) ** 10
-    if total > MAX_4X4_CANDIDATES:
-        raise ValueError(f"{total} candidates exceed the {MAX_4X4_CANDIDATES} guard")
     return _search(values, 4, clause_type, EXACT_ALL_7)
 
 

@@ -69,9 +69,9 @@ class QuboMatrix:
         row, col, weight = row[order], col[order], weight[order]
         degree = np.bincount(row, minlength=self.dim)
         slot = np.arange(row.size) - (np.cumsum(degree) - degree)[row]
-        # padding points at the row's own bit with weight 0: a bit's field
-        # never depends on itself, so padded slots are inert in every update
-        idx = np.repeat(np.arange(self.dim)[:, None], int(degree.max()), axis=1)
+        # every row gets at least one slot; padding points at the row's own bit with weight 0:
+        # a bit's field never depends on itself, so padded slots are inert in every update
+        idx = np.repeat(np.arange(self.dim)[:, None], max(1, int(degree.max())), axis=1)
         weights = np.zeros(idx.shape, dtype=np.int64)
         idx[row, slot] = col
         weights[row, slot] = weight
@@ -83,7 +83,7 @@ class CompiledQubo(NamedTuple):
 
     Row i of idx/weight holds bit i's off-diagonal neighbours and their
     coefficients in its first degree[i] slots; the rest point at i itself
-    with weight 0. All arrays are int64.
+    with weight 0. Rows have at least one slot. All arrays are int64.
     """
 
     diag: np.ndarray
@@ -155,13 +155,18 @@ class PruneStage:
     removed_cumulative: int
 
 
+def check_bits(bits: Sequence, name: str = "bit") -> None:
+    """ValueError naming the first entry other than 0 or 1, so 2 or 0.7 is never a bit."""
+    bad = next((index for index, bit in enumerate(bits) if bit not in (0, 1)), None)
+    if bad is not None:
+        raise ValueError(f"{name} {bad} is {bits[bad]!r}, expected 0 or 1")
+
+
 def energy(q: QuboMatrix, bits: Sequence[int]) -> int:
     """Exact integer energy sum(Q_ii x_i) + sum(Q_ij x_i x_j)."""
     if len(bits) != q.dim:
         raise ValueError(f"bit vector length {len(bits)} != dim {q.dim}")
-    bad = next((index for index, bit in enumerate(bits) if bit not in (0, 1)), None)
-    if bad is not None:
-        raise ValueError(f"bit {bad} is {bits[bad]!r}, expected 0 or 1")
+    check_bits(bits)
     x = [int(b) for b in bits]
     total = 0
     for (i, j), value in q.entries.items():
@@ -233,8 +238,7 @@ def minimize_with_aux(q: QuboMatrix, layout: VariableLayout) -> tuple[int, tuple
 
     Enumerates the 2^n problem assignments only, so it stays exact for
     matrices whose full dimension is far beyond brute_force_min's reach.
-    Witness ties break toward the lowest binary value (variable 1 least
-    significant).
+    The witness is the lowest-value optimum in enumerate_min's order.
     """
     compiled = _compile_for_layout(q, layout)
     return enumerate_min(layout.num_problem_vars, lambda rows: _min_aux_energies(compiled, rows))

@@ -269,17 +269,15 @@ def _batch_sa(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConfig
     best_energy, best_bits = E.copy(), X.copy()
     XT = np.ascontiguousarray(X.T)  # a view of X when k = 1, hence the copy above
     # per class, its bits' neighbour lists end to end, split at starts. reduceat reads an
-    # empty segment as the next element, so a bit without neighbours keeps one slot: the
-    # appended column, on itself with weight 0.
-    idx = np.column_stack([compiled.idx, np.arange(dim)])
-    weight = np.column_stack([compiled.weight, np.zeros(dim, dtype=np.int64)])
+    # empty segment as the next element, so a bit without neighbours keeps its first slot,
+    # padding on itself with weight 0.
     slots = np.maximum(compiled.degree, 1)
     classes = []
     for members in compiled.colour_classes():
-        kept = np.arange(idx.shape[1]) < slots[members, None]
+        kept = np.arange(compiled.idx.shape[1]) < slots[members, None]
         starts = np.cumsum(slots[members]) - slots[members]
-        classes.append((members, compiled.diag[members, None], idx[members][kept],
-                        weight[members][kept][:, None], starts))
+        classes.append((members, compiled.diag[members, None], compiled.idx[members][kept],
+                        compiled.weight[members][kept][:, None], starts))
     for beta, uniforms in _sa_schedule(config, gens, dim):
         if time_limit_ms is not None and (time.perf_counter() - start) * 1000 >= time_limit_ms:
             break

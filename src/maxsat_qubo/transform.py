@@ -11,18 +11,19 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .formula import CnfFormula
-from .qubo import EXACT_INT64_BOUND, QuboMatrix, VariableLayout, read_triplets, write_triplets
+from .formula import CnfFormula, enumerate_rows
+from .qubo import (EXACT_INT64_BOUND, QuboMatrix, VariableLayout, check_bits, read_triplets,
+                   write_triplets)
 
 EXACT_ALL_7 = "exact-all-7"
 APPROX_6_OF_7 = "approx-6-of-7"
 
 BUILTIN_SPEC_NAMES = ("chancellor_printed", "chancellor_repaired", "nuesslein", "fullapprox")
 
-# all 8 assignments to a clause's variables, ordered by (x1, x2, x3)
-TRIPLES: tuple[tuple[int, int, int], ...] = tuple(
-    (a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)
-)
+# per pattern dim, every assignment to its slots, the first slot most significant: the 8
+# triples for dim 3, their (triple, aux) pairs for dim 4; a triple's index is x @ (4, 2, 1)
+_ASSIGNMENTS = {dim: next(enumerate_rows(2, dim)) for dim in (3, 4)}
+TRIPLES: tuple[tuple[int, int, int], ...] = tuple(map(tuple, _ASSIGNMENTS[3].tolist()))
 
 # slot pairs behind the entries of a pattern's coefficient row, per pattern dim;
 # the searches enumerate rows with the first slot as the most significant digit
@@ -31,9 +32,7 @@ SLOT_ORDERS = {
     4: ((0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
 }
 
-# per pattern dim, the 0/1 monomial of each slot pair (rows) under each assignment
-# (columns): the 8 triples for dim 3, their (triple, aux) pairs for dim 4
-_ASSIGNMENTS = {3: np.array(TRIPLES), 4: np.array([t + (a,) for t in TRIPLES for a in (0, 1)])}
+# per pattern dim, the 0/1 monomial of each slot pair (rows) under each assignment (columns)
 _FEATURES = {dim: np.array([bits[:, i] * bits[:, j] for i, j in SLOT_ORDERS[dim]], dtype=np.int64)
              for dim, bits in _ASSIGNMENTS.items()}
 
@@ -339,9 +338,7 @@ def approximate_with_hint(formula: CnfFormula, hint: Sequence[int],
     """
     if len(hint) != formula.num_vars:
         raise ValueError(f"hint length {len(hint)} != num_vars {formula.num_vars}")
-    bad = next((index for index, bit in enumerate(hint) if bit not in (0, 1)), None)
-    if bad is not None:
-        raise ValueError(f"hint entry {bad} is {hint[bad]!r}, expected 0 or 1")
+    check_bits(hint, "hint entry")
     if len(approx_sets) != 4:
         raise ValueError("approx_sets must hold one pattern list per clause type")
     flat, table = [], []  # table: per type and triple, the index into flat of the pattern to use
@@ -365,9 +362,10 @@ def approximate_with_hint(formula: CnfFormula, hint: Sequence[int],
 
 
 def decode(bits: Sequence[int], layout: VariableLayout) -> tuple[int, ...]:
-    """Project a solver bit vector onto the problem variables."""
+    """Project a solver bit vector onto the problem variables; every entry must be 0 or 1."""
     if len(bits) != layout.dim:
         raise ValueError(f"bit vector length {len(bits)} != layout dim {layout.dim}")
+    check_bits(bits)
     return tuple(int(b) for b in bits[:layout.num_problem_vars])
 
 

@@ -272,6 +272,14 @@ def test_search_and_verify(tmp_path):
                  "--criterion", "exact"]) == 1
 
 
+def test_search_3x3_refuses_more_candidates_than_the_guard(tmp_path, capsys):
+    out = tmp_path / "patterns"
+    assert main(["search", "--dim", "3", "--values", ",".join(map(str, range(-11, 11))),
+                 "--type", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {22 ** 6} candidates exceed the ")
+    assert not out.exists()
+
+
 def test_search_rejects_approx_4x4(tmp_path):
     assert main(["search", "--dim", "4", "--values", "-1,0,1", "--type", "0",
                  "--criterion", "approx", "--out", str(tmp_path / "x")]) == 1

@@ -14,6 +14,7 @@ from maxsat_qubo.formula import (
     clause_penalty,
     count_satisfied,
     count_satisfied_many,
+    enumerate_rows,
     generate_balanced,
     parse_dimacs,
     write_dimacs,
@@ -230,6 +231,23 @@ def test_brute_force_maxsat_empty():
 def test_brute_force_maxsat_guard():
     with pytest.raises(ValueError, match="25"):
         brute_force_maxsat(CnfFormula(26, ()))
+
+
+def test_enumerate_rows_counts_with_the_first_digit_most_significant():
+    rows = np.concatenate(list(enumerate_rows(3, 2)))
+    assert rows.tolist() == [[a, b] for a in range(3) for b in range(3)]
+    assert [block.shape for block in enumerate_rows(2, 17)] == [(1 << 16, 17)] * 2
+    assert next(enumerate_rows(2, 17))[-1].tolist() == [0] + [1] * 16
+    # one empty row for width 0, one row of zeros for radix 1
+    assert [block.shape for block in enumerate_rows(2, 0)] == [(1, 0)]
+    assert np.concatenate(list(enumerate_rows(1, 4))).tolist() == [[0, 0, 0, 0]]
+
+
+def test_brute_force_maxsat_witness_is_the_lowest_optimum_past_the_first_block():
+    # 17 variables put the assignments in two blocks, and every optimum sets x17, which
+    # only the second block holds; its first row is the lowest-value optimum
+    formula = CnfFormula(17, tuple(clause_of(17, a, b) for a in (1, -1) for b in (2, -2)))
+    assert brute_force_maxsat(formula) == (4, (0,) * 16 + (1,))
 
 
 def test_brute_force_maxsat_dominates_random_assignments():

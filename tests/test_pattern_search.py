@@ -1,6 +1,8 @@
 """Exhaustive 3x3/4x4 searches, coverage, combination enumeration and selection."""
 
 import itertools
+import re
+import time
 
 import numpy as np
 
@@ -10,6 +12,7 @@ from maxsat_qubo.formula import CnfFormula, clause_of, generate_balanced
 from maxsat_qubo.pattern_search import (
     CANONICAL_PATTERNS_PER_TYPE,
     CANONICAL_VALUES,
+    MAX_SEARCH_CANDIDATES,
     coverage_check,
     enumerate_combinations,
     search_3x3,
@@ -108,6 +111,15 @@ def test_search_4x4_degenerate_and_guard():
     assert search_4x4((0,), 1) == []
     with pytest.raises(ValueError, match="guard"):
         search_4x4(tuple(range(-3, 4)), 0)
+
+
+def test_search_3x3_guard_refuses_before_enumerating():
+    # 22 values are 22^6 = 1.1e8 candidates, tens of seconds of enumeration
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape(
+            f"{22 ** 6} candidates exceed the {MAX_SEARCH_CANDIDATES} guard")):
+        search_3x3(range(-11, 11), 0, APPROX_6_OF_7)
+    assert time.perf_counter() - started < 1
 
 
 def test_coverage_check_canonical_sets():

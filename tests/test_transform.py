@@ -302,6 +302,11 @@ def test_decode():
     assert decode((1, 0, 1), VariableLayout(3)) == (1, 0, 1)
     with pytest.raises(ValueError, match="length"):
         decode((1, 0), layout)
+    # int() would read 0.7 as 0; every entry, aux bits too, must be 0 or 1
+    for bits, message in (((0.7, 1, 0), "bit 0 is 0.7"), ((1, 2, 0), "bit 1 is 2"),
+                          ((1, 0, 0, 1, 2), "bit 4 is 2")):
+        with pytest.raises(ValueError, match=f"{message}, expected 0 or 1"):
+            decode(bits, layout if len(bits) == 5 else VariableLayout(3))
     # a float owner or problem-variable count is refused, not truncated
     with pytest.raises(TypeError):
         VariableLayout(2, (1.5,))
