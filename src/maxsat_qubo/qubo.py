@@ -30,13 +30,19 @@ class QuboMatrix:
         if dim < 1:
             raise ValueError("dim must be positive")
         checked: Entries = {}
-        for (i, j), value in self.entries.items():
-            i, j, value = index(i), index(j), index(value)
+        for key, value in self.entries.items():
+            i, j = key
+            # a plain tuple of two exact ints is kept as given, so matrices built over one
+            # set of key tuples (an assembly plan's, a pruned source's) share them
+            if not (type(key) is tuple and type(i) is int and type(j) is int):
+                i, j = index(i), index(j)
+                key = i, j
+            value = index(value)
             if not 0 <= i <= j < dim:
                 raise ValueError(f"entry {(i, j)} outside upper triangle of dim {dim}")
             if not value:
                 raise ValueError(f"entry {(i, j)} stores a zero coefficient")
-            checked[i, j] = value
+            checked[key] = value
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "entries", checked)
 

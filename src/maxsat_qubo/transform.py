@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
@@ -261,34 +262,41 @@ def builtin_spec(name: str) -> TransformSpec:
     return TransformSpec(name, patterns)
 
 
+# the largest matrix dim whose entry keys i * dim + j, with i, j < dim, fit in int64
+_MAX_KEYED_DIM = math.isqrt(1 << 63)
+
+
 class _AssemblyPlan(NamedTuple):
     """How clause slot pairs land on matrix entries, for one formula and pattern dim."""
 
     dim: int  # the matrix dim
     order: np.ndarray  # the flat (clause, slot pair) cells sorted by the entry they land on
     starts: np.ndarray  # where each entry's run of cells starts in that order
-    # the (i, j) key of each entry, ascending, as i's and j's: two tuples of shared ints
-    # take a third of the memory of one tuple per key
-    first: tuple[int, ...]
-    second: tuple[int, ...]
+    # one (i, j) tuple per entry, ascending, over shared index ints: every matrix assembled
+    # from the plan, and every pruning stage of one, stores these tuples as its keys, so a
+    # stored entry costs a dict slot and no key of its own
+    keys: tuple[tuple[int, int], ...]
 
 
 def _assembly_plan(formula: CnfFormula, pattern_dim: int) -> _AssemblyPlan:
     """The formula's cached read-only plan for patterns of a dim: slots 0..2 are clause
     l's canonical variables and slot 3 is its aux bit n + l; the matrix dim is n + m for
-    4x4 patterns and n for 3x3 ones."""
+    4x4 patterns and n for 3x3 ones. ValueError for a matrix dim above _MAX_KEYED_DIM."""
     plan = formula.assembly_plans.get(pattern_dim)
     if plan is None:
         n, m = formula.num_vars, formula.num_clauses
         dim = n + m if pattern_dim == 4 else n
+        if dim > _MAX_KEYED_DIM:
+            raise ValueError(f"matrix dim {dim} exceeds {_MAX_KEYED_DIM}, past which int64 "
+                             "entry keys i * dim + j could wrap")
         slots = np.c_[formula.clause_arrays[0], n + np.arange(m)]
         keys = (np.sort(slots[:, SLOT_ORDERS[pattern_dim]], axis=2) @ (dim, 1)).ravel()
         order = np.argsort(keys)
         keys, starts = np.unique(keys[order], return_index=True)
-        index = list(range(dim))  # entry keys share one int object per index
-        first, second = (tuple(map(index.__getitem__, part.tolist()))
-                         for part in np.divmod(keys, dim))
-        plan = _AssemblyPlan(dim, order, starts, first, second)
+        first, second = (part.tolist() for part in np.divmod(keys, dim))
+        shared: dict[int, int] = {}  # one int object per index the keys use
+        pairs = zip(map(shared.setdefault, first, first), map(shared.setdefault, second, second))
+        plan = _AssemblyPlan(dim, order, starts, tuple(pairs))
         plan.order.setflags(write=False)
         plan.starts.setflags(write=False)
         formula.assembly_plans[pattern_dim] = plan
@@ -304,12 +312,10 @@ def _sum_patterns(formula: CnfFormula, patterns: Sequence[ClausePattern],
     uses = np.bincount(choice, minlength=len(rows)).tolist()
     if max(magnitudes + [sum(w * u for w, u in zip(magnitudes, uses))]) >= EXACT_INT64_BOUND:
         raise ValueError("coefficient magnitudes sum to 2^62 or more; int64 sums could wrap")
-    dim, order, starts, first, second = _assembly_plan(formula, patterns[0].dim)
+    dim, order, starts, keys = _assembly_plan(formula, patterns[0].dim)
     sums = np.add.reduceat(np.array(rows, dtype=np.int64)[choice].ravel()[order], starts)
     kept = sums != 0
-    mask = kept.tolist()
-    keys = zip(compress(first, mask), compress(second, mask))
-    return QuboMatrix(dim, dict(zip(keys, sums[kept].tolist())))
+    return QuboMatrix(dim, dict(zip(compress(keys, kept.tolist()), sums[kept].tolist())))
 
 
 def assemble(formula: CnfFormula, spec: TransformSpec) -> tuple[QuboMatrix, VariableLayout]:
@@ -320,7 +326,9 @@ def assemble(formula: CnfFormula, spec: TransformSpec) -> tuple[QuboMatrix, Vari
     that cancel to zero are not stored. Where each clause slot pair lands
     is the formula's assembly plan for the spec's pattern dim, built on
     first use and cached on the formula, so assembling many specs of one
-    formula pays for it once.
+    formula pays for it once. The plan's key tuples become the matrix's keys.
+    A matrix dim above isqrt(2^63) is refused with ValueError before anything
+    is allocated, since the plan's int64 keys i * dim + j could wrap.
     """
     n, m = formula.num_vars, formula.num_clauses
     matrix = _sum_patterns(formula, spec.patterns, formula.clause_arrays[1].sum(axis=1))

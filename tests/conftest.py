@@ -1,5 +1,9 @@
 """Shared fixtures: reference matrices and seeded instance builders."""
 
+import resource
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -92,3 +96,16 @@ def naive_energy(q, bits):
     for (i, j), value in q.entries.items():
         dense[i, j] = value
     return int(x @ dense @ x)
+
+
+def run_capped(args, cap_bytes=2 * 10**9):
+    """Run `python *args` in a child whose address space is capped at cap_bytes, so code
+    that would allocate in proportion to a huge dim fails there at once with MemoryError
+    instead of exhausting the host's memory."""
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = cap_bytes if hard == resource.RLIM_INFINITY else min(cap_bytes, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          preexec_fn=cap, timeout=60)

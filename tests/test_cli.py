@@ -15,6 +15,8 @@ from maxsat_qubo.qubo import nnz_offdiag, parse_qubo, pruning_schedule
 from maxsat_qubo.solvers import SOLVER_OPTIONS, SolverConfig
 from maxsat_qubo.transform import decode, parse_pattern, verify_pattern, APPROX_6_OF_7
 
+from conftest import run_capped
+
 
 @pytest.fixture
 def cnf_file(tmp_path):
@@ -165,6 +167,20 @@ def test_bad_input_files_give_an_error_line(tmp_path, capsys, command, name, tex
     out = tmp_path / "out"
     assert main(command + ["--in", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["fullapprox", "nuesslein"])
+def test_transform_refuses_a_dim_whose_keys_could_wrap(tmp_path, method):
+    """Run in a child capped at 2 GB: a transform that allocated in proportion to the
+    4*10^9 variables would fail there, not take the host's memory."""
+    path, out = tmp_path / "huge.cnf", tmp_path / "huge.qubo"
+    path.write_text("p cnf 4000000000 1\n1 2 3 0\n", encoding="utf-8")
+    proc = run_capped(["-m", "maxsat_qubo.cli", "transform", "--method", method,
+                       "--in", str(path), "--out", str(out)])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: matrix dim 400000000")
+    assert "exceeds 3037000499" in proc.stderr
     assert not out.exists()
 
 

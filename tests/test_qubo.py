@@ -1,5 +1,6 @@
 """Energies, aux minimization, brute-force minima, pruning, and QUBO text format."""
 
+import collections
 import itertools
 import re
 
@@ -46,6 +47,19 @@ def test_matrix_validation():
         QuboMatrix(2, {(0, 1.0): 1})
     with pytest.raises(TypeError):
         QuboMatrix(2.5, {(0, 1): 1})
+
+
+def test_matrix_keeps_plain_int_key_tuples_and_rebuilds_others():
+    key = (0, 1)
+    q = QuboMatrix(3, {key: 2, (1, 2): 1})
+    assert next(iter(q.entries)) is key
+    Pair = collections.namedtuple("Pair", "i j")
+    for entries in ({(np.int64(0), np.int64(1)): 2, (True, 2): 1},
+                    {Pair(0, 1): 2, Pair(1, 2): 1}):
+        q = QuboMatrix(3, entries)
+        assert q.entries == {(0, 1): 2, (1, 2): 1}
+        assert all(type(key) is tuple and list(map(type, key)) == [int, int]
+                   for key in q.entries)
 
 
 def test_energy_examples(approx_type0_matrix, combined_example_matrix):
@@ -268,6 +282,14 @@ def test_pruning_schedule_chain(strategy):
         target = stage.removed_cumulative
         expected = prune_min(q, target) if strategy == "min" else prune_random(q, target, seed=13)
         assert stage.matrix == expected
+
+
+@pytest.mark.parametrize("strategy", ["min", "random"])
+def test_pruning_stages_keep_the_source_key_tuples(strategy):
+    q = random_qubo(10, 30, 6)
+    keys = {key: key for key in q.entries}
+    for stage in pruning_schedule(q, strategy, seed=13):
+        assert all(keys[key] is key for key in stage.matrix.entries)
 
 
 def test_pruning_schedule_rejects_unknown_strategy():

@@ -1,10 +1,16 @@
 """Built-in pattern tables, verification, repair, assembly, hint construction, decoding."""
 
+import gc
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from maxsat_qubo.formula import CnfFormula, brute_force_maxsat, classify_clause, clause_of, count_satisfied
-from maxsat_qubo.qubo import VariableLayout, brute_force_min, energy, minimize_with_aux
+from maxsat_qubo.formula import (CnfFormula, brute_force_maxsat, classify_clause, clause_of,
+                                 count_satisfied, generate_balanced)
+from maxsat_qubo.qubo import (VariableLayout, brute_force_min, energy, minimize_with_aux,
+                              pruning_schedule)
 from maxsat_qubo.rng import generator
 from maxsat_qubo.transform import (
     APPROX_6_OF_7,
@@ -26,7 +32,7 @@ from maxsat_qubo.transform import (
 )
 from maxsat_qubo.pattern_search import search_3x3
 
-from conftest import planted_formula, random_formula
+from conftest import planted_formula, random_formula, run_capped
 
 
 def test_builtin_fullapprox_type0():
@@ -157,6 +163,94 @@ def test_assemble_places_patterns_on_canonical_order():
         a, b = sorted((slots[i], slots[j]))
         expected[(a, b)] = value
     assert matrix.entries == expected
+
+
+_HUGE_ASSEMBLY = """
+import json, sys, time
+from maxsat_qubo.formula import CnfFormula
+from maxsat_qubo.transform import assemble, builtin_spec
+for n, name in json.loads(sys.argv[1]):
+    start = time.perf_counter()
+    try:
+        matrix, layout = assemble(CnfFormula(n, ((n, n - 1, 1),)), builtin_spec(name))
+    except ValueError as exc:
+        print(json.dumps({"error": str(exc), "seconds": time.perf_counter() - start}))
+    else:
+        print(json.dumps({"dim": matrix.dim, "layout": [layout.num_problem_vars,
+                                                        list(layout.aux_owners)],
+                          "entries": [[*key, value] for key, value in matrix.entries.items()]}))
+"""
+
+
+def _assemble_huge(cases):
+    """Assemble the clause (n, n - 1, 1) at each (n, spec name) in a child capped at 2 GB, so
+    an allocation in proportion to n fails there instead of taking the host's memory."""
+    proc = run_capped(["-c", _HUGE_ASSEMBLY, json.dumps(cases)])
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def test_assembly_refuses_a_dim_whose_int64_keys_could_wrap():
+    # isqrt(2^63) = 3037000499 is the largest dim whose keys i * dim + j fit in int64: at
+    # n = 3037000499 the fullapprox dim n still fits, and the nuesslein dim n + 1 does not
+    for result in _assemble_huge([[4 * 10**9, "fullapprox"], [4 * 10**9, "nuesslein"],
+                                  [3037000499, "nuesslein"]]):
+        assert "exceeds 3037000499" in result["error"]
+        assert result["seconds"] < 1
+
+
+@pytest.mark.parametrize("n, name", [(3 * 10**9, "fullapprox"), (3 * 10**9, "nuesslein"),
+                                     (3037000499, "fullapprox")])
+def test_assembly_at_a_huge_dim_relabels_the_small_one(n, name):
+    """The clause (n, n - 1, 1) gives the n=3 matrix of the clause (3, 2, 1) with variables
+    2 and 3 moved to n - 1 and n, and the aux bit to n, however large n is."""
+    small, small_layout = assemble(CnfFormula(3, (clause_of(3, 2, 1),)), builtin_spec(name))
+    label = [0, n - 2, n - 1, n]
+    expected = {tuple(sorted((label[i], label[j]))): value
+                for (i, j), value in small.entries.items()}
+    [result] = _assemble_huge([[n, name]])
+    assert result["dim"] == small.dim - 3 + n
+    assert result["layout"] == [n, list(small_layout.aux_owners)]
+    assert {(i, j): value for i, j, value in result["entries"]} == expected
+
+
+def test_assemblies_of_one_formula_share_their_key_tuples():
+    formula = random_formula(30, 120, 8)
+    for first, second in [(assemble(formula, builtin_spec("fullapprox"))[0],
+                           approximate_with_hint(formula, (0,) * 30, _canonical_approx_sets())),
+                          (assemble(formula, builtin_spec("nuesslein"))[0],
+                           assemble(formula, builtin_spec("chancellor_repaired"))[0])]:
+        keys = {key: key for key in first.entries}
+        common = [key for key in second.entries if key in keys]
+        assert len(common) > 100
+        assert all(keys[key] is key for key in common)
+
+
+def _bytes_per_entry_kept(build):
+    """Bytes still allocated per stored entry after build() returns a list of matrices that
+    stay alive, allocations made before the call excluded."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        matrices = build()
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return size / sum(len(matrix.entries) for matrix in matrices)
+
+
+# a dict slot costs about 40 B and a key tuple of its own about 60 B more, so at most 60 B
+# per stored entry means the matrices share their key tuples
+def test_assembled_matrices_cost_no_key_tuple_per_entry():
+    """The assembly plan is built inside the measurement and counted there."""
+    formula, spec = generate_balanced(145, 500, 3), builtin_spec("fullapprox")
+    assert _bytes_per_entry_kept(lambda: [assemble(formula, spec)[0] for _ in range(64)]) <= 60
+
+
+def test_pruning_stages_cost_no_key_tuple_per_entry():
+    source, _ = assemble(generate_balanced(145, 500, 3), builtin_spec("nuesslein"))
+    assert _bytes_per_entry_kept(
+        lambda: [stage.matrix for stage in pruning_schedule(source, "min")]) <= 60
 
 
 def _pattern_energy_at(pattern, bits):
