@@ -9,6 +9,7 @@ as soon as 10% of the couplings are gone.
 import numpy as np
 
 from maxsat_qubo import SolverConfig, assemble, builtin_spec, generate_balanced, pruning_schedule, solve
+from maxsat_qubo.qubo import PRUNING_STRATEGIES
 from maxsat_qubo.rng import mix
 from maxsat_qubo.solvers import satisfied_counts
 
@@ -23,7 +24,7 @@ for name in ("nuesslein", "chancellor_repaired"):
     spec = builtin_spec(name)
     print(f"=== {name} ===")
     print("prune%   " + "  ".join(f"{k * 10:4d}" for k in range(11)))
-    for strategy in ("min", "random"):
+    for strategy in PRUNING_STRATEGIES:
         means = np.zeros(11)
         for f in range(NUM_FORMULAS):
             formula = generate_balanced(N, M, mix(3, f))

@@ -30,6 +30,8 @@ def _read(path: str) -> str:
 def _cmd_gen(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
+    if args.count > solvers.MAX_SEEDS:
+        raise ValueError(f"--count must be <= {solvers.MAX_SEEDS}, got {args.count}")
     seeds = [mix(args.seed, 1, index) for index in range(args.count)]
     texts = [write_dimacs(generate_balanced(args.vars, args.clauses, seed),
                           comments=[f"seed={seed} generator=balanced"]) for seed in seeds]
@@ -69,21 +71,16 @@ def _cmd_solve(args) -> int:
                if _SOLVER_FLAGS[flag] not in solvers.SOLVER_OPTIONS[args.solver]]
     if ignored:
         raise ValueError(f"solver {args.solver} ignores {' '.join(ignored)}")
+    config = solvers.SolverConfig(
+        kind=args.solver, samples=args.samples, seed=args.seed,
+        **{_SOLVER_FLAGS[flag]: value for flag, value in given.items()})
     matrix, layout = qubo.parse_qubo(_read(args.infile))
     formula = None
     if args.cnf:
         formula = parse_dimacs(_read(args.cnf))
-        if layout is None:
-            if matrix.dim != formula.num_vars:
-                raise ValueError(
-                    f"QUBO dim {matrix.dim} != formula vars {formula.num_vars} "
-                    "and the file carries no aux layout")
-        elif layout.num_problem_vars != formula.num_vars:
-            raise ValueError(f"layout problem vars {layout.num_problem_vars} != "
+        if layout.num_problem_vars != formula.num_vars:
+            raise ValueError(f"QUBO problem vars {layout.num_problem_vars} != "
                              f"formula vars {formula.num_vars}")
-    config = solvers.SolverConfig(
-        kind=args.solver, samples=args.samples, seed=args.seed,
-        **{_SOLVER_FLAGS[flag]: value for flag, value in given.items()})
     started = time.perf_counter()
     results = solvers.solve(matrix, config)
     wall_ms = int(round((time.perf_counter() - started) * 1000))
@@ -180,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("prune", help="remove off-diagonal entries from a QUBO file")
-    p.add_argument("--strategy", required=True, choices=("min", "random"))
+    p.add_argument("--strategy", required=True, choices=qubo.PRUNING_STRATEGIES)
     p.add_argument("--stage", type=int, required=True, choices=range(11))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--in", dest="infile", required=True)

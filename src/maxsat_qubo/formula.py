@@ -160,10 +160,15 @@ def classify_clause(clause: tuple[int, int, int]) -> tuple[int, tuple[int, int, 
     return len(negated), tuple(plain + negated)
 
 
-def clause_penalty(clause_type: int, bits: Sequence[int]) -> int:
-    """Pseudo-Boolean penalty of the canonical clause of a type: -1 if satisfied, 0 if not."""
+def check_clause_type(clause_type: int) -> None:
+    """ValueError unless clause_type is a negation count that classify_clause yields."""
     if clause_type not in (0, 1, 2, 3):
         raise ValueError(f"clause type must be 0..3, got {clause_type}")
+
+
+def clause_penalty(clause_type: int, bits: Sequence[int]) -> int:
+    """Pseudo-Boolean penalty of the canonical clause of a type: -1 if satisfied, 0 if not."""
+    check_clause_type(clause_type)
     x, y, z = (int(b) for b in bits)
     if clause_type == 0:
         return -x - y - z + x * y + x * z + y * z - x * y * z

@@ -18,12 +18,11 @@ from typing import Sequence
 import numpy as np
 
 from .formula import CnfFormula, generate_balanced
-from .qubo import pruning_schedule
+from .qubo import PRUNING_STRATEGIES, pruning_schedule
 from .rng import mix
 from .solvers import SolverConfig, random_baseline, require_integers, satisfied_counts, solve
 from .transform import assemble, builtin_spec
 
-EXPERIMENT_KINDS = ("pruning_sweep", "comparison", "scaling")
 RANDOM_METHOD = "random"
 
 
@@ -139,7 +138,7 @@ def run_pruning_sweep(config: ExperimentConfig) -> tuple[list[RunRecord], list[S
         formula = _formula_for(config, formula_id)
         for ti, name in enumerate(config.transforms):
             matrix, _ = assemble(formula, builtin_spec(name))
-            for strategy in ("min", "random"):
+            for strategy in PRUNING_STRATEGIES:
                 stages = pruning_schedule(matrix, strategy, mix(config.seed, 2, formula_id, ti))
                 for stage in stages:
                     method = f"{name}:{strategy}:{stage.stage * 10}"
@@ -245,12 +244,13 @@ def summarize_scaling(records: Sequence[RunRecord], num_clauses: int) -> list[Su
     return _mean_bests(_bests_by_method(records), "fraction", num_clauses)
 
 
+_RUNNERS = {"pruning_sweep": run_pruning_sweep, "comparison": run_comparison,
+            "scaling": run_scaling}
+EXPERIMENT_KINDS = tuple(_RUNNERS)
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], list[SummaryRow]]:
-    if config.kind == "pruning_sweep":
-        return run_pruning_sweep(config)
-    if config.kind == "comparison":
-        return run_comparison(config)
-    return run_scaling(config)
+    return _RUNNERS[config.kind](config)
 
 
 def make_timestamp() -> str:

@@ -14,6 +14,8 @@ from .rng import generator
 
 # int64 energies and flip deltas stay exact while sum |c| < 2^62
 EXACT_INT64_BOUND = 1 << 62
+# the removal orders of _removal_order, which the CLI offers and the pruning sweep runs
+PRUNING_STRATEGIES = ("min", "random")
 
 Entries = dict[tuple[int, int], int]
 
@@ -355,9 +357,9 @@ def write_triplets(kind: str, header: Sequence[int], entries: Entries,
                        comments)
 
 
-def parse_qubo(text: str) -> tuple[QuboMatrix, VariableLayout | None]:
-    """Parse QUBO text; returns the layout when aux comments are present. A comment whose
-    first word is aux must read 'c aux <index> clause <owner>'."""
+def parse_qubo(text: str) -> tuple[QuboMatrix, VariableLayout]:
+    """Parse QUBO text and its layout, where bits without an aux comment are problem bits.
+    A comment whose first word is aux must read 'c aux <index> clause <owner>'."""
     (dim, _), entries, comments = read_triplets(text, "qubo", 2)
     aux: dict[int, int] = {}
     for lineno, fields in comments:
@@ -374,8 +376,6 @@ def parse_qubo(text: str) -> tuple[QuboMatrix, VariableLayout | None]:
                 raise ValueError(f"line {lineno}: repeated aux index {index}")
             aux[index] = owner
     matrix = QuboMatrix(dim, entries)
-    if not aux:
-        return matrix, None
     indices = sorted(aux)
     n = dim - len(indices)
     if indices != list(range(n, dim)):

@@ -19,6 +19,9 @@ from .formula import CnfFormula, count_satisfied_many
 from .qubo import CompiledQubo, QuboMatrix, brute_force_min
 from .rng import generator, mix
 
+# the most seeds one call derives (SolverConfig.samples, gen --count): a seeded generator
+# holds ~1 KB, so an accepted call's generators stay under ~100 MB
+MAX_SEEDS = 100_000
 # the SolverConfig option fields each solver kind reads; the CLI and experiments defer to it
 SOLVER_OPTIONS = {
     "brute": (),
@@ -81,6 +84,8 @@ class SolverConfig:
             raise ValueError(f"solver {self.kind} ignores {' '.join(ignored)}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.samples > MAX_SEEDS:
+            raise ValueError(f"samples must be <= {MAX_SEEDS}, got {self.samples}")
         if self.iteration_limit is not None and self.iteration_limit < 0:
             raise ValueError("iteration_limit must be non-negative")
         if self.time_limit_ms is not None and self.time_limit_ms < 1:

@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .formula import CnfFormula, enumerate_rows
+from .formula import CnfFormula, check_clause_type, enumerate_rows
 from .qubo import (EXACT_INT64_BOUND, QuboMatrix, VariableLayout, check_bits, read_triplets,
                    write_triplets)
 
@@ -40,8 +40,7 @@ _FEATURES = {dim: np.array([bits[:, i] * bits[:, j] for i, j in SLOT_ORDERS[dim]
 
 def unsat_triple(clause_type: int) -> tuple[int, int, int]:
     """The single assignment falsifying the canonical clause of a type."""
-    if clause_type not in (0, 1, 2, 3):
-        raise ValueError(f"clause type must be 0..3, got {clause_type}")
+    check_clause_type(clause_type)
     return tuple([0] * (3 - clause_type) + [1] * clause_type)
 
 
@@ -379,14 +378,12 @@ def decode(bits: Sequence[int], layout: VariableLayout) -> tuple[int, ...]:
 
 def write_pattern(pattern: ClausePattern, clause_type: int, comments: Sequence[str] = ()) -> str:
     """Serialize a pattern to the pattern text format."""
-    if clause_type not in (0, 1, 2, 3):
-        raise ValueError(f"clause type must be 0..3, got {clause_type}")
+    check_clause_type(clause_type)
     return write_triplets("pattern", (pattern.dim, clause_type), pattern.coefficients, comments)
 
 
 def parse_pattern(text: str) -> tuple[ClausePattern, int]:
     """Parse pattern text into (pattern, clause_type)."""
     (dim, clause_type, _), coefficients, _ = read_triplets(text, "pattern", 3)
-    if clause_type not in (0, 1, 2, 3):
-        raise ValueError(f"clause type must be 0..3, got {clause_type}")
+    check_clause_type(clause_type)
     return ClausePattern(dim, coefficients), clause_type

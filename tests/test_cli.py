@@ -1,5 +1,6 @@
 """End-to-end command-line runs covering every subcommand and exit code."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -11,9 +12,11 @@ import pytest
 
 from maxsat_qubo.cli import _SOLVER_FLAGS, build_parser, main
 from maxsat_qubo.formula import count_satisfied, parse_dimacs
-from maxsat_qubo.qubo import nnz_offdiag, parse_qubo, pruning_schedule
-from maxsat_qubo.solvers import SOLVER_OPTIONS, SolverConfig
-from maxsat_qubo.transform import decode, parse_pattern, verify_pattern, APPROX_6_OF_7
+from maxsat_qubo.harness import ExperimentConfig, _formula_for
+from maxsat_qubo.qubo import PRUNING_STRATEGIES, nnz_offdiag, parse_qubo, pruning_schedule
+from maxsat_qubo.solvers import MAX_SEEDS, SOLVER_KINDS, SOLVER_OPTIONS, SolverConfig
+from maxsat_qubo.transform import (APPROX_6_OF_7, BUILTIN_SPEC_NAMES, decode, parse_pattern,
+                                   verify_pattern)
 
 from conftest import run_capped
 
@@ -107,11 +110,19 @@ def test_transform_prune_solve_pipeline(tmp_path, cnf_file):
         assert count_satisfied(formula, decode(bits, layout)) == row["satisfied"]
 
 
-def test_solve_rejects_mismatched_cnf(tmp_path, cnf_file):
-    qubo_path = str(tmp_path / "small.qubo")
-    open(qubo_path, "w", encoding="utf-8").write("p qubo 2 1\n0 0 -1\n")
-    assert main(["solve", "--solver", "brute", "--in", qubo_path,
-                 "--cnf", cnf_file, "--out", str(tmp_path / "r.jsonl")]) == 1
+def test_solve_rejects_mismatched_cnf(tmp_path, capsys, cnf_file):
+    # the 4-variable formula against a file without aux comments, then one with an aux bit
+    for text, problem_vars in [("p qubo 2 1\n0 0 -1\n", 2),
+                               ("c aux 2 clause 0\np qubo 3 1\n0 0 -1\n", 2),
+                               ("p qubo 5 1\n0 0 -1\n", 5)]:
+        qubo_path = tmp_path / "small.qubo"
+        qubo_path.write_text(text, encoding="utf-8")
+        out = tmp_path / "r.jsonl"
+        assert main(["solve", "--solver", "brute", "--in", str(qubo_path),
+                     "--cnf", cnf_file, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: QUBO problem vars {problem_vars} != formula vars 4\n"
+        assert not out.exists()
 
 
 def test_solve_coefficients_beyond_int32(tmp_path):
@@ -365,6 +376,46 @@ def test_solver_flags_cover_solver_options():
         args = parser.parse_args(["solve", "--solver", "tabu", "--" + flag.replace("_", "-"),
                                   "1", "--in", "q", "--out", "r"])
         assert getattr(args, flag) == 1
+
+
+def test_cli_choices_are_the_library_lists():
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+
+    def choices(command, dest):
+        return tuple(next(action.choices for action in commands[command]._actions
+                          if action.dest == dest))
+
+    assert choices("prune", "strategy") == PRUNING_STRATEGIES
+    assert choices("solve", "solver") == SOLVER_KINDS
+    assert choices("transform", "method") == BUILTIN_SPEC_NAMES
+
+
+def test_gen_writes_the_formulas_an_experiment_solves(tmp_path):
+    out = tmp_path / "g"
+    assert main(["gen", "--vars", "10", "--clauses", "30", "--count", "2", "--seed", "9",
+                 "--out", str(out)]) == 0
+    config = ExperimentConfig(kind="comparison", count=2, num_vars=10, num_clauses=30, seed=9,
+                              transforms=("fullapprox",), solver=SolverConfig(kind="random"))
+    for formula_id in range(2):
+        text = (out / f"formula_{formula_id:03d}.cnf").read_text(encoding="utf-8")
+        assert parse_dimacs(text) == _formula_for(config, formula_id)
+
+
+@pytest.mark.parametrize("command, message", [
+    (["solve", "--solver", "random", "--in", "{qubo}", "--samples"], "samples"),
+    (["gen", "--vars", "5", "--clauses", "8", "--count"], "--count"),
+])
+def test_seed_counts_above_the_cap_are_refused_at_once(tmp_path, command, message):
+    qubo_path = tmp_path / "q.qubo"
+    qubo_path.write_text("p qubo 2 1\n0 0 -1\n", encoding="utf-8")
+    out = tmp_path / "o"
+    # without the cap either command derives seeds for minutes, so it runs capped and timed
+    proc = run_capped(["-m", "maxsat_qubo.cli", *(arg.format(qubo=qubo_path) for arg in command),
+                       str(10**15), "--out", str(out)])
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {message} must be <= {MAX_SEEDS}, got {10**15}\n"
+    assert not out.exists()
 
 
 def test_console_module_entrypoint(tmp_path):

@@ -23,7 +23,7 @@ from maxsat_qubo.harness import (
     summary_to_csv,
 )
 from maxsat_qubo.rng import mix
-from maxsat_qubo.solvers import SolverConfig, solve
+from maxsat_qubo.solvers import MAX_SEEDS, SolverConfig, solve
 from maxsat_qubo.transform import assemble, builtin_spec
 
 
@@ -96,6 +96,13 @@ def test_config_validation():
                                     "num_clauses": 5, "seed": 0,
                                     "transforms": ["nuesslein", "fullapprox"],
                                     "solver": {"kind": "sa"}})
+
+
+def test_config_refuses_samples_above_the_seed_cap():
+    with pytest.raises(ValueError, match=f"^samples must be <= {MAX_SEEDS}, got {10**15}$"):
+        ExperimentConfig.from_dict({"kind": "comparison", "count": 1, "num_vars": 5,
+                                    "num_clauses": 5, "seed": 0, "transforms": ["nuesslein"],
+                                    "solver": {"kind": "tabu", "samples": 10**15}})
 
 
 def test_config_roundtrip():

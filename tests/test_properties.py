@@ -441,7 +441,7 @@ def test_dimacs_round_trip(formula):
 @given(data=st.data())
 def test_qubo_round_trip_with_and_without_layout(data):
     q, _ = data.draw(matrices("random"))
-    assert parse_qubo(write_qubo(q, comments=["transform=x"])) == (q, None)
+    assert parse_qubo(write_qubo(q, comments=["transform=x"])) == (q, VariableLayout(q.dim))
     aux = data.draw(st.integers(1, q.dim))
     owners = tuple(data.draw(st.lists(st.integers(0, 99), min_size=aux, max_size=aux)))
     layout = VariableLayout(q.dim - aux, owners)

@@ -302,7 +302,7 @@ def test_qubo_text_roundtrip():
     text = write_qubo(q)
     parsed, layout = parse_qubo(text)
     assert parsed == q
-    assert layout is None
+    assert layout == VariableLayout(6)
     assert write_qubo(parsed) == text
 
 
@@ -320,7 +320,7 @@ def test_qubo_writer_refuses_a_free_comment_read_as_aux():
     q = QuboMatrix(3, {(0, 0): 1})
     with pytest.raises(ValueError, match="^comment ' aux 2 clause 0' starts with 'aux'"):
         write_qubo(q, comments=["transform=x", " aux 2 clause 0"])
-    assert parse_qubo(write_qubo(q, comments=["auxiliary bits: none"])) == (q, None)
+    assert parse_qubo(write_qubo(q, comments=["auxiliary bits: none"])) == (q, VariableLayout(3))
 
 
 @pytest.mark.parametrize("comment", ["run 1\n0 1 5", "a\r\nb", "x\x0cy"])
@@ -382,4 +382,4 @@ def test_qubo_text_keeps_coefficients_beyond_int64_exact():
     text = write_qubo(q)
     assert text == "p qubo 3 3\n0 0 100000000000000000000000000\n" \
         "0 2 -100000000000000000000000007\n1 1 1\n"
-    assert parse_qubo(text) == (q, None)
+    assert parse_qubo(text) == (q, VariableLayout(3))

@@ -90,6 +90,12 @@ def test_config_rejects_ignored_options_and_wrong_types(options, error, message)
         SolverConfig(**options)
 
 
+def test_config_refuses_more_samples_than_the_seed_cap():
+    assert SolverConfig(kind="random", samples=solvers.MAX_SEEDS).samples == solvers.MAX_SEEDS
+    with pytest.raises(ValueError, match=f"^samples must be <= {solvers.MAX_SEEDS}, got {10**15}$"):
+        SolverConfig(kind="random", samples=10**15)
+
+
 def test_config_rejects_ignored_options_even_at_the_sa_defaults():
     with pytest.raises(ValueError, match="^solver tabu ignores sa_sweeps sa_beta_start sa_beta_end$"):
         SolverConfig(kind="tabu", sa_sweeps=1000, sa_beta_start=0.1, sa_beta_end=10.0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from maxsat_qubo.formula import (CnfFormula, brute_force_maxsat, classify_clause, clause_of,
-                                 count_satisfied, generate_balanced)
+                                 clause_penalty, count_satisfied, generate_balanced)
 from maxsat_qubo.qubo import (VariableLayout, brute_force_min, energy, minimize_with_aux,
                               pruning_schedule)
 from maxsat_qubo.rng import generator
@@ -27,6 +27,7 @@ from maxsat_qubo.transform import (
     parse_pattern,
     pattern_energies,
     pattern_minima,
+    unsat_triple,
     verify_pattern,
     write_pattern,
 )
@@ -432,6 +433,24 @@ def test_pattern_file_roundtrip():
 def test_pattern_text_errors(text, match):
     with pytest.raises(ValueError, match=match):
         parse_pattern(text)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: clause_penalty(4, (0, 0, 0)),
+    lambda: unsat_triple(4),
+    lambda: write_pattern(builtin_spec("fullapprox").patterns[0], 4),
+    lambda: parse_pattern("p pattern 3 4 1\n0 0 -1\n"),
+], ids=["clause_penalty", "unsat_triple", "write_pattern", "parse_pattern"])
+def test_clause_type_4_gives_one_message(call):
+    with pytest.raises(ValueError, match=r"^clause type must be 0\.\.3, got 4$"):
+        call()
+
+
+# a zero coefficient is dropped only after its slot pair passes the range check
+@pytest.mark.parametrize("coefficients", [{(0, 3): 1}, {(2, 1): 1}, {(0, 5): 0}])
+def test_pattern_refuses_a_slot_pair_outside_its_triangle(coefficients):
+    with pytest.raises(ValueError, match="outside upper triangle of dim 3$"):
+        ClausePattern(3, coefficients)
 
 
 def test_transform_spec_validation():
