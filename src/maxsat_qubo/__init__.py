@@ -5,7 +5,6 @@ from .formula import (
     CnfFormula,
     brute_force_maxsat,
     classify_clause,
-    clause_of,
     clause_penalty,
     count_satisfied,
     generate_balanced,

@@ -63,12 +63,6 @@ class CnfFormula:
         return {}
 
 
-def clause_of(*lits: int) -> tuple[int, ...]:
-    """A clause from DIMACS-style signed integers, e.g. clause_of(1, 2, -3); CnfFormula
-    validates it."""
-    return lits
-
-
 def read_lines(text: str, kind: str, header_ints: int, comments: list | None = None):
     """Read the line grammar of DIMACS, QUBO and pattern text. Blank lines are skipped, and
     a line starting with c is a comment, appended to `comments` as (line number, fields).
@@ -179,19 +173,43 @@ def clause_penalty(clause_type: int, bits: Sequence[int]) -> int:
     return -1 + x * y * z
 
 
+def check_bits(bits: Sequence, name: str = "bit") -> None:
+    """ValueError naming the first entry other than 0 or 1, so 2 or 0.7 is never a bit."""
+    bad = next((index for index, bit in enumerate(bits) if bit not in (0, 1)), None)
+    if bad is not None:
+        raise ValueError(f"{name} {bad} is {bits[bad]!r}, expected 0 or 1")
+
+
+def check_bit_rows(bits_rows, width: int) -> np.ndarray:
+    """Rows of a (k, width) 0/1 matrix as an array; ValueError for another shape or for the
+    first entry that is not 0 or 1, checked before any cast so that 0.7 is not read as 0."""
+    rows = np.asarray(bits_rows)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"expected shape (k, {width}), got {rows.shape}")
+    mask = (rows != 0) & (rows != 1)
+    if mask.any():  # argwhere alone costs more than the whole check on a clean chunk
+        row, column = np.argwhere(mask)[0].tolist()
+        raise ValueError(f"row {row} entry {column} is {rows[row].tolist()[column]!r}, "
+                         "expected 0 or 1")
+    return rows
+
+
 def count_satisfied(formula: CnfFormula, bits: Sequence[int]) -> int:
-    """Number of clauses with at least one true literal under the assignment."""
+    """Number of clauses with at least one true literal under the 0/1 assignment."""
     if len(bits) != formula.num_vars:
         raise ValueError(f"assignment length {len(bits)} != num_vars {formula.num_vars}")
+    check_bits(bits)
     return sum(any(bool(bits[abs(lit) - 1]) == (lit > 0) for lit in clause)
                for clause in formula.clauses)
 
 
 def count_satisfied_many(formula: CnfFormula, bits_rows: np.ndarray) -> np.ndarray:
     """Vectorized count_satisfied over rows of a (k, num_vars) 0/1 matrix."""
-    rows = np.asarray(bits_rows, dtype=bool)
-    if rows.ndim != 2 or rows.shape[1] != formula.num_vars:
-        raise ValueError(f"expected shape (k, {formula.num_vars}), got {rows.shape}")
+    return _satisfied_rows(formula, check_bit_rows(bits_rows, formula.num_vars).astype(bool))
+
+
+def _satisfied_rows(formula: CnfFormula, rows: np.ndarray) -> np.ndarray:
+    """count_satisfied_many of rows already known to be a (k, num_vars) bool array."""
     variables, negated = formula.clause_arrays
     truth = rows[:, variables] ^ negated[None, :, :]
     return truth.any(axis=2).sum(axis=1).astype(np.int64)
@@ -301,6 +319,7 @@ def enumerate_min(num_bits: int, values_of) -> tuple[int, tuple[int, ...]]:
 def brute_force_maxsat(formula: CnfFormula) -> tuple[int, tuple[int, ...]]:
     """Exact MAX-3SAT by enumeration; the witness is the lowest-value optimum in
     enumerate_min's order."""
+    # enumerated rows are 0/1 by construction; the bit check is a measurable share of a chunk
     best, witness = enumerate_min(formula.num_vars,
-                                  lambda rows: -count_satisfied_many(formula, rows))
+                                  lambda rows: -_satisfied_rows(formula, rows.astype(bool)))
     return -best, witness

@@ -77,9 +77,6 @@ def enumerate_combinations(per_type: Sequence[Sequence[ClausePattern]]) -> list[
     for clause_type, patterns in enumerate(per_type):
         if not patterns:
             raise ValueError(f"empty pattern list for clause type {clause_type}")
-    dims = {p.dim for patterns in per_type for p in patterns}
-    if len(dims) != 1:
-        raise ValueError(f"pattern lists mix dimensions: {sorted(dims)}")
     specs = []
     for indices in product(*(range(len(patterns)) for patterns in per_type)):
         name = "combo-" + "-".join(str(i) for i in indices)

@@ -9,7 +9,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .formula import enumerate_min, read_lines, write_lines
+from .formula import check_bit_rows, check_bits, enumerate_min, read_lines, write_lines
 from .rng import generator
 
 # int64 energies and flip deltas stay exact while sum |c| < 2^62
@@ -163,13 +163,6 @@ class PruneStage:
     removed_cumulative: int
 
 
-def check_bits(bits: Sequence, name: str = "bit") -> None:
-    """ValueError naming the first entry other than 0 or 1, so 2 or 0.7 is never a bit."""
-    bad = next((index for index, bit in enumerate(bits) if bit not in (0, 1)), None)
-    if bad is not None:
-        raise ValueError(f"{name} {bad} is {bits[bad]!r}, expected 0 or 1")
-
-
 def energy(q: QuboMatrix, bits: Sequence[int]) -> int:
     """Exact integer energy sum(Q_ii x_i) + sum(Q_ij x_i x_j)."""
     if len(bits) != q.dim:
@@ -185,23 +178,9 @@ def energy(q: QuboMatrix, bits: Sequence[int]) -> int:
     return total
 
 
-def _binary_rows(bits_rows, width: int) -> np.ndarray:
-    """Rows of a (k, width) 0/1 matrix as int64; ValueError for another shape or for the
-    first entry that is not 0 or 1, checked before the cast so that 0.7 is not read as 0."""
-    rows = np.asarray(bits_rows)
-    if rows.ndim != 2 or rows.shape[1] != width:
-        raise ValueError(f"expected shape (k, {width}), got {rows.shape}")
-    bad = np.argwhere((rows != 0) & (rows != 1))
-    if len(bad):
-        row, column = bad[0].tolist()
-        raise ValueError(f"row {row} entry {column} is {rows[row].tolist()[column]!r}, "
-                         "expected 0 or 1")
-    return rows.astype(np.int64)
-
-
 def energy_many(q: QuboMatrix, bits_rows: np.ndarray) -> np.ndarray:
     """Vectorized energy over rows of a (k, dim) 0/1 matrix."""
-    return q.diag_coupling().energies(_binary_rows(bits_rows, q.dim))
+    return q.diag_coupling().energies(check_bit_rows(bits_rows, q.dim).astype(np.int64))
 
 
 def _compile_for_layout(q: QuboMatrix, layout: VariableLayout) -> CompiledQubo:
@@ -232,7 +211,7 @@ def energy_min_aux_many(q: QuboMatrix, layout: VariableLayout, bits_rows: np.nda
     Each aux bit contributes min(0, field), its diagonal plus its couplings
     into the fixed assignment. Matrices with aux-aux couplings are rejected.
     """
-    rows = _binary_rows(bits_rows, layout.num_problem_vars)
+    rows = check_bit_rows(bits_rows, layout.num_problem_vars).astype(np.int64)
     return _min_aux_energies(_compile_for_layout(q, layout), rows)
 
 

@@ -33,6 +33,9 @@ SOLVER_KINDS = tuple(SOLVER_OPTIONS)
 _OPTION_FIELDS = tuple(dict.fromkeys(name for names in SOLVER_OPTIONS.values() for name in names))
 # what an SA config leaves out; every other kind must leave these fields None
 _SA_DEFAULTS = {"sa_sweeps": 1000, "sa_beta_start": 0.1, "sa_beta_end": 10.0}
+# SolverConfig's integer fields in check order, with their least values (None: unbounded)
+_INTEGER_LEAST = {"samples": 1, "seed": None, "iteration_limit": 0, "time_limit_ms": 1,
+                  "tabu_tenure": 1, "sa_sweeps": 0}
 
 _BIG = np.int64(1) << 62
 # the fewest entries a tabu flip log starts with: a fold, a dozen numpy calls, then comes
@@ -70,9 +73,7 @@ class SolverConfig:
             for name, default in _SA_DEFAULTS.items():
                 if getattr(self, name) is None:
                     object.__setattr__(self, name, default)
-        require_integers(self, [name for name in ("samples", "seed", "iteration_limit",
-                                                  "time_limit_ms", "tabu_tenure", "sa_sweeps")
-                                if getattr(self, name) is not None])
+        require_integers(self, [name for name in _INTEGER_LEAST if getattr(self, name) is not None])
         for name in ("sa_beta_start", "sa_beta_end"):
             value = getattr(self, name)
             if value is not None and (not isinstance(value, numbers.Real)
@@ -82,22 +83,15 @@ class SolverConfig:
                    and getattr(self, name) is not None]
         if ignored:
             raise ValueError(f"solver {self.kind} ignores {' '.join(ignored)}")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
         if self.samples > MAX_SEEDS:
             raise ValueError(f"samples must be <= {MAX_SEEDS}, got {self.samples}")
-        if self.iteration_limit is not None and self.iteration_limit < 0:
-            raise ValueError("iteration_limit must be non-negative")
-        if self.time_limit_ms is not None and self.time_limit_ms < 1:
-            raise ValueError("time_limit_ms must be positive")
-        if self.tabu_tenure is not None and self.tabu_tenure < 1:
-            raise ValueError("tabu_tenure must be positive")
-        if self.kind == "sa":
-            if self.sa_sweeps < 0:
-                raise ValueError("sa_sweeps must be non-negative")
-            # an infinite beta turns the accept test's -beta * 0 into NaN
-            if not 0 < self.sa_beta_start < self.sa_beta_end < math.inf:
-                raise ValueError("need 0 < sa_beta_start < sa_beta_end < inf")
+        for name, least in _INTEGER_LEAST.items():
+            value = getattr(self, name)
+            if least is not None and value is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+        # an infinite beta turns the accept test's -beta * 0 into NaN
+        if self.kind == "sa" and not 0 < self.sa_beta_start < self.sa_beta_end < math.inf:
+            raise ValueError("need 0 < sa_beta_start < sa_beta_end < inf")
 
 
 @dataclass(frozen=True)
@@ -331,11 +325,9 @@ def _run(q: QuboMatrix, config: SolverConfig, seeds: Sequence[int]) -> list[Solv
     return _results_from_batch(compiled, seeds, best_bits, best_energy)
 
 
-def tabu_search(q: QuboMatrix, iteration_limit: int, tenure: int, seed: int,
-                time_limit_ms: int | None = None) -> SolveResult:
+def tabu_search(q: QuboMatrix, iteration_limit: int, tenure: int, seed: int) -> SolveResult:
     """Single tabu run from a seeded random start; returns the best vector seen."""
-    config = SolverConfig(kind="tabu", iteration_limit=iteration_limit, tabu_tenure=tenure,
-                          time_limit_ms=time_limit_ms)
+    config = SolverConfig(kind="tabu", iteration_limit=iteration_limit, tabu_tenure=tenure)
     return _run(q, config, [seed])[0]
 
 

@@ -12,14 +12,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .formula import CnfFormula, check_clause_type, enumerate_rows
-from .qubo import (EXACT_INT64_BOUND, QuboMatrix, VariableLayout, check_bits, read_triplets,
-                   write_triplets)
+from .formula import CnfFormula, check_bits, check_clause_type, enumerate_rows
+from .qubo import EXACT_INT64_BOUND, QuboMatrix, VariableLayout, read_triplets, write_triplets
 
 EXACT_ALL_7 = "exact-all-7"
 APPROX_6_OF_7 = "approx-6-of-7"
-
-BUILTIN_SPEC_NAMES = ("chancellor_printed", "chancellor_repaired", "nuesslein", "fullapprox")
 
 # per pattern dim, every assignment to its slots, the first slot most significant: the 8
 # triples for dim 3, their (triple, aux) pairs for dim 4; a triple's index is x @ (4, 2, 1)
@@ -239,6 +236,18 @@ _FULLAPPROX = (
 )
 
 
+# each built-in transformation's patterns builder, in the order the CLI lists them
+_BUILTIN_PATTERNS = {
+    "chancellor_printed": lambda: tuple(ClausePattern(4, c) for c in _CHANCELLOR_PRINTED),
+    "chancellor_repaired": lambda: tuple(
+        negation_substitute(ClausePattern(4, _CHANCELLOR_PRINTED[0]), unsat_triple(t))
+        for t in range(4)),
+    "nuesslein": lambda: tuple(ClausePattern(4, c) for c in _NUESSLEIN),
+    "fullapprox": lambda: tuple(ClausePattern(3, c) for c in _FULLAPPROX),
+}
+BUILTIN_SPEC_NAMES = tuple(_BUILTIN_PATTERNS)
+
+
 @lru_cache(maxsize=None)
 def builtin_spec(name: str) -> TransformSpec:
     """One of the built-in transformations.
@@ -247,18 +256,9 @@ def builtin_spec(name: str) -> TransformSpec:
     which fail verification; chancellor_repaired rebuilds the negated clause
     types from the valid type-0 pattern by negation substitution.
     """
-    if name == "chancellor_printed":
-        patterns = tuple(ClausePattern(4, dict(c)) for c in _CHANCELLOR_PRINTED)
-    elif name == "chancellor_repaired":
-        base = ClausePattern(4, dict(_CHANCELLOR_PRINTED[0]))
-        patterns = tuple(negation_substitute(base, unsat_triple(t)) for t in range(4))
-    elif name == "nuesslein":
-        patterns = tuple(ClausePattern(4, dict(c)) for c in _NUESSLEIN)
-    elif name == "fullapprox":
-        patterns = tuple(ClausePattern(3, dict(c)) for c in _FULLAPPROX)
-    else:
+    if name not in _BUILTIN_PATTERNS:
         raise ValueError(f"unknown transformation {name!r}, expected one of {BUILTIN_SPEC_NAMES}")
-    return TransformSpec(name, patterns)
+    return TransformSpec(name, _BUILTIN_PATTERNS[name]())
 
 
 # the largest matrix dim whose entry keys i * dim + j, with i, j < dim, fit in int64

@@ -10,7 +10,6 @@ from maxsat_qubo.formula import (
     CnfFormula,
     brute_force_maxsat,
     classify_clause,
-    clause_of,
     clause_penalty,
     count_satisfied,
     count_satisfied_many,
@@ -90,7 +89,7 @@ def test_parse_literal_beyond_int64_is_out_of_range():
 
 
 def test_write_canonical():
-    formula = CnfFormula(3, (clause_of(1, 2, 3),))
+    formula = CnfFormula(3, ((1, 2, 3),))
     assert write_dimacs(formula) == "p cnf 3 1\n1 2 3 0\n"
     assert write_dimacs(CnfFormula(1, ())) == "p cnf 1 0\n"
 
@@ -117,12 +116,12 @@ def test_roundtrip_random_formulas():
 
 
 def test_classify_examples():
-    assert classify_clause(clause_of(1, 2, 3)) == (0, (1, 2, 3))
-    assert classify_clause(clause_of(1, 2, -3)) == (1, (1, 2, 3))
-    assert classify_clause(clause_of(-5, 2, -7)) == (2, (2, 5, 7))
+    assert classify_clause((1, 2, 3)) == (0, (1, 2, 3))
+    assert classify_clause((1, 2, -3)) == (1, (1, 2, 3))
+    assert classify_clause((-5, 2, -7)) == (2, (2, 5, 7))
     # stable within each group by clause position
-    assert classify_clause(clause_of(-7, 2, -5)) == (2, (2, 7, 5))
-    assert classify_clause(clause_of(-1, 4, -2)) == (2, (4, 1, 2))
+    assert classify_clause((-7, 2, -5)) == (2, (2, 7, 5))
+    assert classify_clause((-1, 4, -2)) == (2, (4, 1, 2))
 
 
 def test_clause_penalty_examples():
@@ -220,7 +219,7 @@ def test_brute_force_maxsat_example(example1):
 
 
 def test_brute_force_maxsat_opposed_clauses():
-    formula = CnfFormula(3, (clause_of(1, 2, 3), clause_of(-1, -2, -3)))
+    formula = CnfFormula(3, ((1, 2, 3), (-1, -2, -3)))
     assert brute_force_maxsat(formula) == (2, (1, 0, 0))
 
 
@@ -246,7 +245,7 @@ def test_enumerate_rows_counts_with_the_first_digit_most_significant():
 def test_brute_force_maxsat_witness_is_the_lowest_optimum_past_the_first_block():
     # 17 variables put the assignments in two blocks, and every optimum sets x17, which
     # only the second block holds; its first row is the lowest-value optimum
-    formula = CnfFormula(17, tuple(clause_of(17, a, b) for a in (1, -1) for b in (2, -2)))
+    formula = CnfFormula(17, tuple((17, a, b) for a in (1, -1) for b in (2, -2)))
     assert brute_force_maxsat(formula) == (4, (0,) * 16 + (1,))
 
 
@@ -262,15 +261,15 @@ def test_brute_force_maxsat_dominates_random_assignments():
 
 def test_literal_and_clause_validation():
     with pytest.raises(ValueError, match="0 is not a DIMACS literal"):
-        CnfFormula(3, (clause_of(1, 0, 3),))
+        CnfFormula(3, ((1, 0, 3),))
     with pytest.raises(ValueError, match="exactly 3 literals, got 2"):
-        CnfFormula(3, (clause_of(1, 2),))
+        CnfFormula(3, ((1, 2),))
     with pytest.raises(ValueError, match="^variable 3 exceeds declared num_vars=2$"):
-        CnfFormula(2, (clause_of(1, 2, 3),))
+        CnfFormula(2, ((1, 2, 3),))
     with pytest.raises(ValueError, match="distinct"):
-        CnfFormula(3, (clause_of(1, -1, 3),))
+        CnfFormula(3, ((1, -1, 3),))
     with pytest.raises(TypeError):
-        CnfFormula(3, (clause_of(1, 2.0, 3),))
+        CnfFormula(3, ((1, 2.0, 3),))
     with pytest.raises(TypeError):
         CnfFormula(3.5, ((1, 2, -3),))
     with pytest.raises(ValueError, match=f"^variable {10 ** 23} exceeds"):

@@ -8,7 +8,7 @@ import numpy as np
 
 import pytest
 
-from maxsat_qubo.formula import CnfFormula, clause_of, generate_balanced
+from maxsat_qubo.formula import CnfFormula, generate_balanced
 from maxsat_qubo.pattern_search import (
     CANONICAL_PATTERNS_PER_TYPE,
     CANONICAL_VALUES,
@@ -151,10 +151,14 @@ def test_enumerate_combinations_sizes_and_order():
     assert doubled[1].patterns[0] == per_type[0][1]
     with pytest.raises(ValueError, match="empty"):
         enumerate_combinations([[], per_type[1], per_type[2], per_type[3]])
+    # a 4x4 pattern among 3x3 lists: TransformSpec refuses the first mixed combination
+    with pytest.raises(ValueError, match=r"^patterns mix dimensions: \[3, 4\]$"):
+        enumerate_combinations([per_type[0][:2] + [builtin_spec("nuesslein").patterns[0]],
+                                *per_type[1:]])
 
 
 def test_select_best_combination_trivial_and_ties():
-    formula = CnfFormula(3, (clause_of(1, 2, 3), clause_of(-1, 2, -3)))
+    formula = CnfFormula(3, ((1, 2, 3), (-1, 2, -3)))
     config = SolverConfig(kind="brute", samples=1, seed=0)
     spec = builtin_spec("fullapprox")
     best, scores = select_best_combination(formula, [spec], config, seed=5)
@@ -181,7 +185,7 @@ def test_select_best_combination_small_calibration():
 
 def test_combination_names_carry_indices_aligned_with_scores():
     per_type = [search_3x3(CANONICAL_VALUES, t, APPROX_6_OF_7)[:2] for t in range(4)]
-    formula = CnfFormula(3, (clause_of(1, 2, 3), clause_of(-1, -2, -3)))
+    formula = CnfFormula(3, ((1, 2, 3), (-1, -2, -3)))
     config = SolverConfig(kind="brute", samples=1, seed=0)
     specs = enumerate_combinations(per_type)
     _, scores = select_best_combination(formula, specs, config, seed=8)
@@ -194,14 +198,14 @@ def test_combination_names_carry_indices_aligned_with_scores():
 
 def test_calibration_rejects_a_solver_seed_it_would_override():
     per_type = [search_3x3(CANONICAL_VALUES, t, APPROX_6_OF_7)[:1] for t in range(4)]
-    formula = CnfFormula(3, (clause_of(1, 2, 3),))
+    formula = CnfFormula(3, ((1, 2, 3),))
     config = SolverConfig(kind="brute", samples=1, seed=987654)
     with pytest.raises(ValueError, match="solver seed must be left at 0"):
         select_best_combination(formula, enumerate_combinations(per_type), config, seed=1)
 
 
 def test_calibration_rejects_a_time_limit():
-    formula = CnfFormula(3, (clause_of(1, 2, 3),))
+    formula = CnfFormula(3, ((1, 2, 3),))
     config = SolverConfig(kind="tabu", samples=1, seed=0, time_limit_ms=50)
     with pytest.raises(ValueError, match="^calibration does not take time_limit_ms"):
         select_best_combination(formula, [builtin_spec("fullapprox")], config, seed=1)

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxsat_qubo import solvers
-from maxsat_qubo.formula import (CnfFormula, classify_clause, clause_of, generate_balanced,
-                                 parse_dimacs, write_dimacs)
+from maxsat_qubo.formula import (CnfFormula, classify_clause, generate_balanced, parse_dimacs,
+                                 write_dimacs)
 from maxsat_qubo.pattern_search import enumerate_combinations, search_3x3, search_4x4
 from maxsat_qubo.qubo import (EXACT_INT64_BOUND, QuboMatrix, VariableLayout, energy,
                               energy_many, parse_qubo, pruning_schedule, write_qubo)
@@ -315,7 +315,7 @@ def _reference_sum(formula, dim, choose):
 
 
 # under fullapprox, the type-1 clause cancels three of the type-0 clause's entries
-CANCELLING = CnfFormula(3, (clause_of(1, 2, 3), clause_of(1, 2, -3)))
+CANCELLING = CnfFormula(3, ((1, 2, 3), (1, 2, -3)))
 APPROX_SETS = [search_3x3((-1, 0, 1), t, APPROX_6_OF_7) for t in range(4)]
 # per clause type, per pattern, the triples at the pattern's minimum
 APPROX_MINIMA = [[{t for t, v in zip(TRIPLES, _reference_energies(p)) if v == min(
@@ -391,7 +391,7 @@ def test_assembly_plans_cached_on_a_formula_serve_every_later_assembly(formula, 
 
 
 def test_assembly_refuses_inexact_sums():
-    formula = CnfFormula(3, (clause_of(1, 2, 3), clause_of(1, 2, -3)))
+    formula = CnfFormula(3, ((1, 2, 3), (1, 2, -3)))
     small = ClausePattern(3, {(0, 0): -1})
 
     def spec(type0, type1, type3=small):

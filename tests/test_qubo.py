@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from maxsat_qubo.formula import CnfFormula, count_satisfied, count_satisfied_many
 from maxsat_qubo.qubo import (
     QuboMatrix,
     VariableLayout,
@@ -160,6 +161,10 @@ def test_energy_min_aux_many_matches_scalar():
         assert energy_min_aux(q, layout, tuple(row)) == value
 
 
+# x1 true satisfies only the first clause; x2 true satisfies both
+TWO_CLAUSES = CnfFormula(3, ((1, 2, 3), (-1, 2, 3)))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda q: energy(q, (2, 0)), "bit 0 is 2, expected 0 or 1"),
     (lambda q: energy(q, (0.7, 1.9)), "bit 0 is 0.7, expected 0 or 1"),
@@ -167,13 +172,27 @@ def test_energy_min_aux_many_matches_scalar():
     (lambda q: energy_many(q, [[1, 0], [0, 0.7]]), "row 1 entry 1 is 0.7, expected 0 or 1"),
     (lambda q: energy_min_aux(q, VariableLayout(2), (2, 0)), "row 0 entry 0 is 2"),
     (lambda q: energy_min_aux_many(q, VariableLayout(2), [[0, -1]]), "row 0 entry 1 is -1"),
-], ids=["energy", "energy-fraction", "many", "many-fraction", "min-aux", "min-aux-many"])
+    (lambda q: count_satisfied(TWO_CLAUSES, (2, 0, 0)), "bit 0 is 2, expected 0 or 1"),
+    (lambda q: count_satisfied(TWO_CLAUSES, (1, 0.7, 0)), "bit 1 is 0.7, expected 0 or 1"),
+    (lambda q: count_satisfied(TWO_CLAUSES, (-1, 0, 0)), "bit 0 is -1, expected 0 or 1"),
+    (lambda q: count_satisfied_many(TWO_CLAUSES, [[2, 0, 0]]),
+     "row 0 entry 0 is 2, expected 0 or 1"),
+    (lambda q: count_satisfied_many(TWO_CLAUSES, [[1, 0, 0], [0, 0.7, 0]]),
+     "row 1 entry 1 is 0.7, expected 0 or 1"),
+    (lambda q: count_satisfied_many(TWO_CLAUSES, np.array([[0, -1, 0]])),
+     "row 0 entry 1 is -1, expected 0 or 1"),
+], ids=["energy", "energy-fraction", "many", "many-fraction", "min-aux", "min-aux-many",
+        "score", "score-fraction", "score-negative", "score-many", "score-many-fraction",
+        "score-many-negative"])
 def test_energies_refuse_entries_other_than_0_and_1(call, message):
     q = QuboMatrix(2, {(0, 0): 1, (0, 1): 1})
     with pytest.raises(ValueError, match=re.escape(message)):
         call(q)
     # bools are 0 and 1
     assert energy(q, (True, True)) == energy_many(q, [[True, True]])[0] == 2
+    assert count_satisfied(TWO_CLAUSES, (True, False, False)) == 1
+    rows = np.array([[True, False, False], [False, True, False]])
+    assert count_satisfied_many(TWO_CLAUSES, rows).tolist() == [1, 2]
 
 
 def test_minimize_with_aux_matches_brute_force():

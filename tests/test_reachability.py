@@ -1,7 +1,9 @@
 """Every top-level function, class and constant of the package is reached from somewhere."""
 
 import ast
+import importlib.util
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -43,3 +45,17 @@ def test_every_top_level_name_is_exported_referenced_or_benchmarked():
                       and (local if name.startswith("_") else uses)[name] == _uses(node)[name]
                       and not re.search(rf"\b{name}\b", outside)]
     assert unreached == []
+
+
+def test_every_perfbench_trace_target_resolves():
+    """perfbench's trace mode patches package functions by name, so a move or rename of
+    one of them fails here and not only when a traced benchmark runs."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    tracing = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracing.import_package()
+    for target in (target for targets in tracing.TARGETS.values() for target in targets):
+        owners = tracing._resolve(target)
+        assert owners, target
+        assert all(callable(getattr(owner, attr)) for owner, attr in owners), target

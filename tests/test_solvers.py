@@ -71,6 +71,13 @@ def test_config_validation():
         SolverConfig(kind="sa", sa_beta_start=math.nan)
     with pytest.raises(ValueError, match="time_limit"):
         SolverConfig(kind="tabu", time_limit_ms=0)
+    # each bounded field is refused one below its least value and accepted at it
+    for kind, name, least in [("tabu", "samples", 1), ("tabu", "iteration_limit", 0),
+                              ("tabu", "time_limit_ms", 1), ("tabu", "tabu_tenure", 1),
+                              ("sa", "sa_sweeps", 0)]:
+        with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {least - 1}$"):
+            SolverConfig(kind=kind, **{name: least - 1})
+        assert getattr(SolverConfig(kind=kind, **{name: least}), name) == least
 
 
 @pytest.mark.parametrize("options, error, message", [

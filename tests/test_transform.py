@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from maxsat_qubo.formula import (CnfFormula, brute_force_maxsat, classify_clause, clause_of,
+from maxsat_qubo.formula import (CnfFormula, brute_force_maxsat, classify_clause,
                                  clause_penalty, count_satisfied, generate_balanced)
 from maxsat_qubo.qubo import (VariableLayout, brute_force_min, energy, minimize_with_aux,
                               pruning_schedule)
@@ -88,6 +88,8 @@ def test_verify_fullapprox_type1_approx():
 
 
 def test_all_builtin_verification_profile():
+    assert BUILTIN_SPEC_NAMES == ("chancellor_printed", "chancellor_repaired", "nuesslein",
+                                  "fullapprox")
     for name in BUILTIN_SPEC_NAMES:
         spec = builtin_spec(name)
         assert spec.uses_aux == (spec.patterns[0].dim == 4)
@@ -129,7 +131,7 @@ def test_negation_substitute_rejects_invalid_base():
 
 
 def test_assemble_single_nuesslein_clause():
-    formula = CnfFormula(3, (clause_of(1, 2, 3),))
+    formula = CnfFormula(3, ((1, 2, 3),))
     matrix, layout = assemble(formula, builtin_spec("nuesslein"))
     assert matrix.dim == 4
     assert matrix.entries == {(0, 1): 2, (0, 3): -2, (1, 3): -2,
@@ -155,7 +157,7 @@ def test_assemble_dimensions():
 
 def test_assemble_places_patterns_on_canonical_order():
     # (-x5 v x2 v -x7) is a type-2 clause with canonical order (2, 5, 7)
-    formula = CnfFormula(7, (clause_of(-5, 2, -7),))
+    formula = CnfFormula(7, ((-5, 2, -7),))
     matrix, _ = assemble(formula, builtin_spec("fullapprox"))
     pattern = builtin_spec("fullapprox").patterns[2]
     slots = [1, 4, 6]
@@ -205,7 +207,7 @@ def test_assembly_refuses_a_dim_whose_int64_keys_could_wrap():
 def test_assembly_at_a_huge_dim_relabels_the_small_one(n, name):
     """The clause (n, n - 1, 1) gives the n=3 matrix of the clause (3, 2, 1) with variables
     2 and 3 moved to n - 1 and n, and the aux bit to n, however large n is."""
-    small, small_layout = assemble(CnfFormula(3, (clause_of(3, 2, 1),)), builtin_spec(name))
+    small, small_layout = assemble(CnfFormula(3, ((3, 2, 1),)), builtin_spec(name))
     label = [0, n - 2, n - 1, n]
     expected = {tuple(sorted((label[i], label[j]))): value
                 for (i, j), value in small.entries.items()}
@@ -340,7 +342,7 @@ def test_hint_construction_satisfying_hint_attains_minimum():
 
 def test_hint_construction_switches_pattern():
     approx_sets = _canonical_approx_sets()
-    formula = CnfFormula(3, (clause_of(1, 2, 3),))
+    formula = CnfFormula(3, ((1, 2, 3),))
     default = approx_sets[0][0]
     excluded = next(t for t in TRIPLES
                     if t not in set(pattern_minima(default)) and t != (0, 0, 0))
@@ -351,7 +353,7 @@ def test_hint_construction_switches_pattern():
 
 def test_hint_construction_tolerates_falsifying_hint():
     approx_sets = _canonical_approx_sets()
-    formula = CnfFormula(3, (clause_of(1, 2, 3),))
+    formula = CnfFormula(3, ((1, 2, 3),))
     matrix = approximate_with_hint(formula, (0, 0, 0), approx_sets)
     assert matrix.dim == 3
     assert matrix.entries == approx_sets[0][0].coefficients
@@ -360,7 +362,7 @@ def test_hint_construction_tolerates_falsifying_hint():
 def test_hint_construction_rejects_uncovered_sets():
     approx_sets = _canonical_approx_sets()
     thin = [patterns[:1] for patterns in approx_sets]
-    formula = CnfFormula(3, (clause_of(1, 2, 3),))
+    formula = CnfFormula(3, ((1, 2, 3),))
     with pytest.raises(ValueError, match="cover"):
         approximate_with_hint(formula, (1, 1, 1), thin)
 
@@ -375,7 +377,7 @@ def test_hint_construction_rejects_uncovered_sets():
 def test_hint_construction_rejects_bad_pattern_lists(clause_type, patterns, match):
     approx_sets = _canonical_approx_sets()
     approx_sets[clause_type] = patterns
-    formula = CnfFormula(3, (clause_of(1, 2, 3),))
+    formula = CnfFormula(3, ((1, 2, 3),))
     with pytest.raises(ValueError, match=match):
         approximate_with_hint(formula, (1, 1, 1), approx_sets)
 
@@ -386,7 +388,7 @@ def test_hint_construction_rejects_bad_pattern_lists(clause_type, patterns, matc
     ((0, -1, 1), "hint entry 1 is -1, expected 0 or 1"),
 ])
 def test_hint_construction_rejects_bad_hints(hint, match):
-    formula = CnfFormula(3, (clause_of(1, 2, 3),))
+    formula = CnfFormula(3, ((1, 2, 3),))
     with pytest.raises(ValueError, match=match):
         approximate_with_hint(formula, hint, _canonical_approx_sets())
 
