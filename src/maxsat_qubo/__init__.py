@@ -24,6 +24,7 @@ from .qubo import (
     prune_min,
     prune_random,
     pruning_schedule,
+    pruning_stage,
     write_qubo,
 )
 from .transform import (

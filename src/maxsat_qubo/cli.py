@@ -10,7 +10,6 @@ import time
 
 from . import harness, pattern_search, qubo, solvers, transform
 from .formula import generate_balanced, parse_dimacs, write_dimacs
-from .rng import mix
 from .transform import APPROX_6_OF_7, EXACT_ALL_7
 
 _CRITERIA = {"exact": EXACT_ALL_7, "approx": APPROX_6_OF_7,
@@ -32,7 +31,7 @@ def _cmd_gen(args) -> int:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     if args.count > solvers.MAX_SEEDS:
         raise ValueError(f"--count must be <= {solvers.MAX_SEEDS}, got {args.count}")
-    seeds = [mix(args.seed, 1, index) for index in range(args.count)]
+    seeds = [harness.formula_seed(args.seed, index) for index in range(args.count)]
     texts = [write_dimacs(generate_balanced(args.vars, args.clauses, seed),
                           comments=[f"seed={seed} generator=balanced"]) for seed in seeds]
     os.makedirs(args.out, exist_ok=True)
@@ -54,8 +53,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_prune(args) -> int:
     matrix, layout = qubo.parse_qubo(_read(args.infile))
-    stages = qubo.pruning_schedule(matrix, args.strategy, args.seed)
-    stage = stages[args.stage]
+    stage = qubo.pruning_stage(matrix, args.strategy, args.stage, args.seed)
     comments = [f"pruned strategy={args.strategy} stage={args.stage} "
                 f"removed={stage.removed_cumulative}"]
     harness.write_text(args.out, qubo.write_qubo(stage.matrix, layout, comments=comments))

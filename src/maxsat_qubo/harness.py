@@ -39,16 +39,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        require_integers(self, ("count", "num_vars", "num_clauses", "seed"))
+        require_integers(self, {"count": 1, "num_vars": 3, "num_clauses": 1, "seed": None})
         if not isinstance(self.transforms, (list, tuple)) or not all(
                 isinstance(name, str) for name in self.transforms):
             raise TypeError(f"transforms must be a list of names, got {self.transforms!r}")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if self.num_vars < 3:
-            raise ValueError("num_vars must be >= 3")
-        if self.num_clauses < 1:
-            raise ValueError("num_clauses must be >= 1")
         if not self.transforms:
             raise ValueError("transforms must name at least one transformation")
         # a repeated name would merge two methods' records into one summary row
@@ -109,9 +103,14 @@ def best_of_k(records: Sequence[RunRecord]) -> int:
     return max(record.satisfied for record in records)
 
 
+def formula_seed(seed: int, formula_id: int) -> int:
+    """Generator seed of formula formula_id under a seed, for experiments and `gen` alike."""
+    return mix(seed, 1, formula_id)
+
+
 def _formula_for(config: ExperimentConfig, formula_id: int) -> CnfFormula:
     return generate_balanced(config.num_vars, config.num_clauses,
-                             mix(config.seed, 1, formula_id))
+                             formula_seed(config.seed, formula_id))
 
 
 def _solve_records(formula, matrix, config: SolverConfig, seed: int,
@@ -184,13 +183,11 @@ def run_scaling(config: ExperimentConfig) -> tuple[list[RunRecord], list[Summary
 
 
 def _bests_by_method(records: Sequence[RunRecord]) -> dict[str, dict[int, int]]:
-    bests: dict[str, dict[int, int]] = {}
+    groups: dict[str, dict[int, list[RunRecord]]] = {}
     for record in records:
-        per_formula = bests.setdefault(record.method, {})
-        current = per_formula.get(record.formula_id)
-        if current is None or record.satisfied > current:
-            per_formula[record.formula_id] = record.satisfied
-    return bests
+        groups.setdefault(record.method, {}).setdefault(record.formula_id, []).append(record)
+    return {method: {formula_id: best_of_k(group) for formula_id, group in per_formula.items()}
+            for method, per_formula in groups.items()}
 
 
 def _mean_bests(bests: dict[str, dict[int, int]], kind: str, scale: int) -> list[SummaryRow]:

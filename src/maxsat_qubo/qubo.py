@@ -276,20 +276,25 @@ def prune_random(q: QuboMatrix, count: int, seed: int) -> QuboMatrix:
     return _prune(q, "random", count, seed)
 
 
-def pruning_schedule(q: QuboMatrix, strategy: str, seed: int = 0) -> list[PruneStage]:
-    """Eleven pruning stages removing 0%, 10%, ..., 100% of off-diagonal entries.
+def _stage(q: QuboMatrix, order: list[tuple[int, int]], k: int) -> PruneStage:
+    """Stage k of 0..10: q without the first round(k * N / 10) keys of its N-key removal
+    order, halves rounding up, so stage 10 strips the off-diagonal completely."""
+    target = (2 * k * len(order) + 10) // 20
+    return PruneStage(stage=k, matrix=_remove(q, order[:target]), removed_cumulative=target)
 
-    Cumulative removal targets are round(k * N / 10) with halves rounding up,
-    so stage 10 always strips the off-diagonal completely.
-    """
+
+def pruning_schedule(q: QuboMatrix, strategy: str, seed: int = 0) -> list[PruneStage]:
+    """Eleven pruning stages removing 0%, 10%, ..., 100% of off-diagonal entries, all from
+    one removal order."""
     order = _removal_order(q, strategy, seed)
-    initial = len(order)
-    stages = []
-    for k in range(11):
-        target = (2 * k * initial + 10) // 20
-        stages.append(PruneStage(stage=k, matrix=_remove(q, order[:target]),
-                                 removed_cumulative=target))
-    return stages
+    return [_stage(q, order, k) for k in range(11)]
+
+
+def pruning_stage(q: QuboMatrix, strategy: str, stage: int, seed: int = 0) -> PruneStage:
+    """pruning_schedule(q, strategy, seed)[stage], built alone; stage must lie in 0..10."""
+    if stage not in range(11):
+        raise ValueError(f"stage must be in 0..10, got {stage!r}")
+    return _stage(q, _removal_order(q, strategy, seed), stage)
 
 
 def write_qubo(q: QuboMatrix, layout: VariableLayout | None = None,

@@ -46,12 +46,15 @@ _LOG_ROWS = 256
 _SA_BLOCK = 1 << 16
 
 
-def require_integers(obj, names: Sequence[str]) -> None:
-    """TypeError unless each named attribute is an integer (a bool is not)."""
-    for name in names:
+def require_integers(obj, least: dict[str, int | None]) -> None:
+    """TypeError unless each named attribute is an integer (a bool is not), then ValueError
+    unless it is at least its least value (None: unbounded), in the table's order."""
+    for name, bound in least.items():
         value = getattr(obj, name)
         if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             raise TypeError(f"{name} must be an integer, got {value!r}")
+        if bound is not None and value < bound:
+            raise ValueError(f"{name} must be >= {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -73,25 +76,30 @@ class SolverConfig:
             for name, default in _SA_DEFAULTS.items():
                 if getattr(self, name) is None:
                     object.__setattr__(self, name, default)
-        require_integers(self, [name for name in _INTEGER_LEAST if getattr(self, name) is not None])
+        require_integers(self, {name: least for name, least in _INTEGER_LEAST.items()
+                                if getattr(self, name) is not None})
         for name in ("sa_beta_start", "sa_beta_end"):
             value = getattr(self, name)
-            if value is not None and (not isinstance(value, numbers.Real)
-                                      or isinstance(value, bool)):
+            if value is None:
+                continue
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise TypeError(f"{name} must be a real number, got {value!r}")
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:
+                raise ValueError(f"{name} is beyond the float range, got {value!r}") from None
         ignored = [name for name in _OPTION_FIELDS if name not in SOLVER_OPTIONS[self.kind]
                    and getattr(self, name) is not None]
         if ignored:
             raise ValueError(f"solver {self.kind} ignores {' '.join(ignored)}")
         if self.samples > MAX_SEEDS:
             raise ValueError(f"samples must be <= {MAX_SEEDS}, got {self.samples}")
-        for name, least in _INTEGER_LEAST.items():
-            value = getattr(self, name)
-            if least is not None and value is not None and value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
-        # an infinite beta turns the accept test's -beta * 0 into NaN
-        if self.kind == "sa" and not 0 < self.sa_beta_start < self.sa_beta_end < math.inf:
-            raise ValueError("need 0 < sa_beta_start < sa_beta_end < inf")
+        # an infinite beta, or a ratio end / start that overflows to one in the schedule,
+        # turns the accept test's -beta * 0 into NaN
+        if self.kind == "sa" and not (0 < self.sa_beta_start < self.sa_beta_end < math.inf
+                                      and self.sa_beta_end / self.sa_beta_start < math.inf):
+            raise ValueError("need 0 < sa_beta_start < sa_beta_end < inf and a finite "
+                             "sa_beta_end / sa_beta_start")
 
 
 @dataclass(frozen=True)
@@ -311,13 +319,11 @@ def _results_from_batch(compiled: CompiledQubo, seeds, best_bits,
 
 def _run(q: QuboMatrix, config: SolverConfig, seeds: Sequence[int]) -> list[SolveResult]:
     """One run of the configured sampler per seed; config.samples and config.seed are not read."""
+    compiled = q.diag_coupling()
     if config.kind == "brute":
         best_value, witness = brute_force_min(q)
-        return [SolveResult(bits=witness, energy=best_value, run_index=r, seed_used=seed)
-                for r, seed in enumerate(seeds)]
-
-    compiled = q.diag_coupling()
-    if config.kind == "random":
+        best_energy, best_bits = np.full(len(seeds), best_value), np.array([witness] * len(seeds))
+    elif config.kind == "random":
         _, best_bits, _, best_energy = _initial_states(compiled, seeds)
     else:
         sampler = _batch_tabu if config.kind == "tabu" else _batch_sa

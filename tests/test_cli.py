@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from maxsat_qubo import qubo
 from maxsat_qubo.cli import _SOLVER_FLAGS, build_parser, main
 from maxsat_qubo.formula import count_satisfied, parse_dimacs
 from maxsat_qubo.harness import ExperimentConfig, _formula_for
@@ -209,6 +210,23 @@ def test_prune_writes_indices_beyond_int64(tmp_path):
         pruning_schedule(matrix, "min")[10].matrix
 
 
+
+@pytest.mark.parametrize("strategy, seed", [("min", "0"), ("random", "3")])
+def test_prune_builds_only_the_stage_it_writes(tmp_path, monkeypatch, cnf_file, strategy, seed):
+    qubo_path, out = tmp_path / "f.qubo", tmp_path / "p.qubo"
+    assert main(["transform", "--method", "nuesslein", "--in", cnf_file,
+                 "--out", str(qubo_path)]) == 0
+    matrix, _ = parse_qubo(qubo_path.read_text(encoding="utf-8"))
+    expected = pruning_schedule(matrix, strategy, int(seed))[5]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("prune built the whole schedule")
+
+    monkeypatch.setattr(qubo, "pruning_schedule", refuse)
+    assert main(["prune", "--strategy", strategy, "--seed", seed, "--stage", "5",
+                 "--in", str(qubo_path), "--out", str(out)]) == 0
+    assert parse_qubo(out.read_text(encoding="utf-8"))[0] == expected.matrix
+
 # each asks numpy for 10^15 int64 entries (7.11 PiB), which no host grants
 @pytest.mark.parametrize("command, name, text", [
     (["solve", "--solver", "random"], "huge.qubo", "p qubo 1000000000000000 0\n"),
@@ -251,6 +269,19 @@ def test_solve_rejects_an_infinite_beta(tmp_path, capsys):
     assert err.startswith("error:") and "beta" in err
     assert not results_path.exists()
 
+
+
+def test_solve_refuses_betas_whose_ratio_overflows(tmp_path, capsys):
+    # end / start overflows to inf: every later beta would be inf, every downhill move refused
+    qubo_path = tmp_path / "small.qubo"
+    qubo_path.write_text("p qubo 2 2\n0 0 -1\n1 1 -1\n", encoding="utf-8")
+    results_path = tmp_path / "r.jsonl"
+    assert main(["solve", "--solver", "sa", "--samples", "3", "--sweeps", "5",
+                 "--beta-start", "1e-300", "--beta-end", "1e300",
+                 "--in", str(qubo_path), "--out", str(results_path)]) == 1
+    assert capsys.readouterr().err == ("error: need 0 < sa_beta_start < sa_beta_end < inf and "
+                                       "a finite sa_beta_end / sa_beta_start\n")
+    assert not results_path.exists()
 
 def test_solve_accepts_its_solver_flags_and_reports_batch_time(tmp_path, capsys):
     qubo_path = tmp_path / "small.qubo"
@@ -350,6 +381,8 @@ def test_experiment_rejects_bad_config(tmp_path):
     {"transforms": [1]},
     {"solver": {"kind": "tabu", "iteration_limit": 5, "time_limit_ms": 40}},
     {"transforms": ["nuesslein", "nuesslein"]},
+    {"solver": {"kind": "sa", "sa_beta_start": 1e-300, "sa_beta_end": 1e300}},
+    {"solver": {"kind": "sa", "sa_beta_end": 10**400}},
 ])
 def test_experiment_rejects_wrongly_typed_or_ignored_values(tmp_path, capsys, change):
     config = {"kind": "comparison", "count": 1, "num_vars": 6, "num_clauses": 10, "seed": 3,

@@ -51,6 +51,14 @@ def test_config_validation():
         _sa_config(count=0)
     with pytest.raises(ValueError, match="transformation"):
         _sa_config(transforms=())
+    # each bounded field is refused one below its least value and accepted at it
+    for name, least in [("count", 1), ("num_vars", 3), ("num_clauses", 1)]:
+        with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {least - 1}$"):
+            _sa_config(**{name: least - 1})
+        assert getattr(_sa_config(**{name: least}), name) == least
+    with pytest.raises(TypeError, match="^num_clauses must be an integer, got 2.0$"):
+        _sa_config(num_clauses=2.0)
+    assert _sa_config(seed=-(10**30)).seed == -(10**30)  # the seed is unbounded
     with pytest.raises(ValueError, match="solver"):
         ExperimentConfig.from_dict({"kind": "comparison", "count": 1, "num_vars": 5,
                                     "num_clauses": 5, "seed": 0, "transforms": ["nuesslein"]})

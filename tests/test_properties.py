@@ -15,8 +15,9 @@ from maxsat_qubo import solvers
 from maxsat_qubo.formula import (CnfFormula, classify_clause, generate_balanced, parse_dimacs,
                                  write_dimacs)
 from maxsat_qubo.pattern_search import enumerate_combinations, search_3x3, search_4x4
-from maxsat_qubo.qubo import (EXACT_INT64_BOUND, QuboMatrix, VariableLayout, energy,
-                              energy_many, parse_qubo, pruning_schedule, write_qubo)
+from maxsat_qubo.qubo import (EXACT_INT64_BOUND, PRUNING_STRATEGIES, QuboMatrix, VariableLayout,
+                              energy, energy_many, parse_qubo, pruning_schedule, pruning_stage,
+                              write_qubo)
 from maxsat_qubo.rng import generator, mix
 from maxsat_qubo.solvers import SolverConfig, simulated_annealing, solve, tabu_search
 from maxsat_qubo.transform import (APPROX_6_OF_7, BUILTIN_SPEC_NAMES, EXACT_ALL_7, TRIPLES,
@@ -246,6 +247,22 @@ def test_qubo_output_at_scale_is_pinned(name, dim, count, digest):
     matrix, layout = assemble(generate_balanced(1390, 5000, mix(1, 1, 0)), builtin_spec(name))
     assert (matrix.dim, len(matrix.entries)) == (dim, count)
     assert hashlib.sha256(write_qubo(matrix, layout).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("strategy", PRUNING_STRATEGIES)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pruning_stage_is_its_schedule_entry(strategy, data):
+    dim = data.draw(st.integers(1, 12))
+    q = random_qubo(dim, data.draw(st.integers(0, dim * (dim - 1) // 2)),
+                    data.draw(st.integers(0, 2 ** 32)))
+    seed = data.draw(st.integers(0, 2 ** 64 - 1))
+    schedule = pruning_schedule(q, strategy, seed)
+    for k, expected in enumerate(schedule):
+        assert pruning_stage(q, strategy, k, seed) == expected
+    for stage in (11, -1):
+        with pytest.raises(ValueError, match=f"^stage must be in 0..10, got {stage}$"):
+            pruning_stage(q, strategy, stage, seed)
 
 
 @pytest.mark.parametrize("name, num_vars, num_clauses, stages, digest", [

@@ -69,6 +69,17 @@ def test_config_validation():
         SolverConfig(kind="sa", sa_beta_end=math.inf)
     with pytest.raises(ValueError, match="beta"):
         SolverConfig(kind="sa", sa_beta_start=math.nan)
+    # end / start is 1e600, past the float range: every beta after the first would be inf
+    with pytest.raises(ValueError, match=r"^need 0 < sa_beta_start < sa_beta_end < inf and a "
+                                         r"finite sa_beta_end / sa_beta_start$"):
+        SolverConfig(kind="sa", sa_beta_start=1e-300, sa_beta_end=1e300)
+    with pytest.raises(ValueError, match="finite sa_beta_end / sa_beta_start$"):
+        SolverConfig(kind="sa", sa_beta_start=5e-324, sa_beta_end=1.0)
+    # an integer beta past the float range passes `< inf` but cannot become a float
+    with pytest.raises(ValueError, match="^sa_beta_end is beyond the float range, got 1000"):
+        SolverConfig(kind="sa", sa_beta_end=10**400)
+    with pytest.raises(ValueError, match="^sa_beta_start is beyond the float range, got -1000"):
+        SolverConfig(kind="sa", sa_beta_start=-(10**400))
     with pytest.raises(ValueError, match="time_limit"):
         SolverConfig(kind="tabu", time_limit_ms=0)
     # each bounded field is refused one below its least value and accepted at it
@@ -78,6 +89,13 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {least - 1}$"):
             SolverConfig(kind=kind, **{name: least - 1})
         assert getattr(SolverConfig(kind=kind, **{name: least}), name) == least
+
+
+def test_config_stores_betas_as_floats():
+    config = SolverConfig(kind="sa", sa_beta_start=1, sa_beta_end=10**300)
+    assert type(config.sa_beta_start) is float and config.sa_beta_start == 1.0
+    assert type(config.sa_beta_end) is float and config.sa_beta_end == 1e300
+    assert config == SolverConfig(kind="sa", sa_beta_start=1.0, sa_beta_end=1e300)
 
 
 @pytest.mark.parametrize("options, error, message", [
@@ -208,6 +226,13 @@ def test_solve_brute_matches_brute_force_min(approx_type0_matrix):
     assert results[0].bits == brute_force_min(approx_type0_matrix)[1]
     assert [r.run_index for r in results] == [0, 1]
 
+
+def test_solve_brute_checks_its_energy_like_every_solver(monkeypatch):
+    q = QuboMatrix(2, {(0, 0): -1, (1, 1): -1})
+    monkeypatch.setattr(solvers, "brute_force_min", lambda matrix: (-3, (1, 1)))
+    with pytest.raises(RuntimeError, match=r"^tracked best energies \[-3, -3\] differ from "
+                                           r"recomputed \[-2, -2\]$"):
+        solve(q, SolverConfig(kind="brute", samples=2))
 
 def test_solve_brute_guard():
     with pytest.raises(ValueError, match="25"):
