@@ -27,10 +27,7 @@ def _read(path: str) -> str:
 
 
 def _cmd_gen(args) -> int:
-    if args.count < 1:
-        raise ValueError(f"--count must be >= 1, got {args.count}")
-    if args.count > solvers.MAX_SEEDS:
-        raise ValueError(f"--count must be <= {solvers.MAX_SEEDS}, got {args.count}")
+    solvers.require_integers(args, {"count": (1, solvers.MAX_SEEDS)})
     seeds = [harness.formula_seed(args.seed, index) for index in range(args.count)]
     texts = [write_dimacs(generate_balanced(args.vars, args.clauses, seed),
                           comments=[f"seed={seed} generator=balanced"]) for seed in seeds]
@@ -233,7 +230,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_values_flag(list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.func(args)
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -173,8 +173,10 @@ def clause_penalty(clause_type: int, bits: Sequence[int]) -> int:
     return -1 + x * y * z
 
 
-def check_bits(bits: Sequence, name: str = "bit") -> None:
-    """ValueError naming the first entry other than 0 or 1, so 2 or 0.7 is never a bit."""
+def check_bits(bits: Sequence, width: int, name: str = "bit") -> None:
+    """ValueError for a length other than width, then naming the first entry not 0 or 1."""
+    if len(bits) != width:
+        raise ValueError(f"expected length {width}, got {len(bits)}")
     bad = next((index for index, bit in enumerate(bits) if bit not in (0, 1)), None)
     if bad is not None:
         raise ValueError(f"{name} {bad} is {bits[bad]!r}, expected 0 or 1")
@@ -196,9 +198,7 @@ def check_bit_rows(bits_rows, width: int) -> np.ndarray:
 
 def count_satisfied(formula: CnfFormula, bits: Sequence[int]) -> int:
     """Number of clauses with at least one true literal under the 0/1 assignment."""
-    if len(bits) != formula.num_vars:
-        raise ValueError(f"assignment length {len(bits)} != num_vars {formula.num_vars}")
-    check_bits(bits)
+    check_bits(bits, formula.num_vars)
     return sum(any(bool(bits[abs(lit) - 1]) == (lit > 0) for lit in clause)
                for clause in formula.clauses)
 

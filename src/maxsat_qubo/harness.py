@@ -20,7 +20,8 @@ import numpy as np
 from .formula import CnfFormula, generate_balanced
 from .qubo import PRUNING_STRATEGIES, pruning_schedule
 from .rng import mix
-from .solvers import SolverConfig, random_baseline, require_integers, satisfied_counts, solve
+from .solvers import (MAX_SEEDS, SolverConfig, random_baseline, require_integers,
+                      satisfied_counts, solve)
 from .transform import assemble, builtin_spec
 
 RANDOM_METHOD = "random"
@@ -39,7 +40,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        require_integers(self, {"count": 1, "num_vars": 3, "num_clauses": 1, "seed": None})
+        require_integers(self, {"count": (1, MAX_SEEDS), "num_vars": (3, None),
+                                "num_clauses": (1, None), "seed": (None, None)})
         if not isinstance(self.transforms, (list, tuple)) or not all(
                 isinstance(name, str) for name in self.transforms):
             raise TypeError(f"transforms must be a list of names, got {self.transforms!r}")

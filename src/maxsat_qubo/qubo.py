@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from itertools import chain
@@ -14,10 +15,19 @@ from .rng import generator
 
 # int64 energies and flip deltas stay exact while sum |c| < 2^62
 EXACT_INT64_BOUND = 1 << 62
+# the largest matrix dim whose entry keys i * dim + j, with i, j < dim, fit in int64
+MAX_KEYED_DIM = math.isqrt(1 << 63)
 # the removal orders of _removal_order, which the CLI offers and the pruning sweep runs
 PRUNING_STRATEGIES = ("min", "random")
 
 Entries = dict[tuple[int, int], int]
+
+
+def check_keyed_dim(dim: int) -> None:
+    """ValueError for a matrix dim above MAX_KEYED_DIM, checked before anything is sized by it."""
+    if dim > MAX_KEYED_DIM:
+        raise ValueError(f"matrix dim {dim} exceeds {MAX_KEYED_DIM}, past which int64 "
+                         "entry keys i * dim + j could wrap")
 
 
 @dataclass(frozen=True)
@@ -52,10 +62,11 @@ class QuboMatrix:
         """The compiled form that every vectorized energy and solver path uses.
 
         Built fresh on each call: a copy cached on the matrix would stay
-        alive with every matrix a caller keeps. Raises ValueError when the
-        coefficient magnitudes sum to 2^62 or more, past which int64
-        arithmetic on energies and flip deltas could wrap.
+        alive with every matrix a caller keeps. Raises ValueError before any
+        allocation for a dim above MAX_KEYED_DIM, or when the coefficient
+        magnitudes sum to 2^62 or more, past which int64 energies could wrap.
         """
+        check_keyed_dim(self.dim)
         total = sum(map(abs, self.entries.values()))
         if total >= EXACT_INT64_BOUND:
             raise ValueError(f"coefficient magnitudes sum to {total}, at or above 2^62; "
@@ -165,9 +176,7 @@ class PruneStage:
 
 def energy(q: QuboMatrix, bits: Sequence[int]) -> int:
     """Exact integer energy sum(Q_ii x_i) + sum(Q_ij x_i x_j)."""
-    if len(bits) != q.dim:
-        raise ValueError(f"bit vector length {len(bits)} != dim {q.dim}")
-    check_bits(bits)
+    check_bits(bits, q.dim)
     x = [int(b) for b in bits]
     total = 0
     for (i, j), value in q.entries.items():

@@ -33,9 +33,9 @@ SOLVER_KINDS = tuple(SOLVER_OPTIONS)
 _OPTION_FIELDS = tuple(dict.fromkeys(name for names in SOLVER_OPTIONS.values() for name in names))
 # what an SA config leaves out; every other kind must leave these fields None
 _SA_DEFAULTS = {"sa_sweeps": 1000, "sa_beta_start": 0.1, "sa_beta_end": 10.0}
-# SolverConfig's integer fields in check order, with their least values (None: unbounded)
-_INTEGER_LEAST = {"samples": 1, "seed": None, "iteration_limit": 0, "time_limit_ms": 1,
-                  "tabu_tenure": 1, "sa_sweeps": 0}
+# SolverConfig's integer fields in check order, their (least, greatest) bounds (None: unbounded)
+_INTEGER_BOUNDS = {"samples": (1, MAX_SEEDS), "seed": (None, None), "iteration_limit": (0, None),
+                   "time_limit_ms": (1, None), "tabu_tenure": (1, None), "sa_sweeps": (0, None)}
 
 _BIG = np.int64(1) << 62
 # the fewest entries a tabu flip log starts with: a fold, a dozen numpy calls, then comes
@@ -46,15 +46,17 @@ _LOG_ROWS = 256
 _SA_BLOCK = 1 << 16
 
 
-def require_integers(obj, least: dict[str, int | None]) -> None:
+def require_integers(obj, bounds: dict[str, tuple[int | None, int | None]]) -> None:
     """TypeError unless each named attribute is an integer (a bool is not), then ValueError
-    unless it is at least its least value (None: unbounded), in the table's order."""
-    for name, bound in least.items():
+    unless it lies in its (least, greatest) bounds (None: unbounded), in the table's order."""
+    for name, (least, greatest) in bounds.items():
         value = getattr(obj, name)
         if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             raise TypeError(f"{name} must be an integer, got {value!r}")
-        if bound is not None and value < bound:
-            raise ValueError(f"{name} must be >= {bound}, got {value}")
+        if least is not None and value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+        if greatest is not None and value > greatest:
+            raise ValueError(f"{name} must be <= {greatest}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,8 @@ class SolverConfig:
             for name, default in _SA_DEFAULTS.items():
                 if getattr(self, name) is None:
                     object.__setattr__(self, name, default)
-        require_integers(self, {name: least for name, least in _INTEGER_LEAST.items()
-                                if getattr(self, name) is not None})
+        require_integers(self, {name: bounds for name, bounds in _INTEGER_BOUNDS.items()
+                                if name not in _OPTION_FIELDS or getattr(self, name) is not None})
         for name in ("sa_beta_start", "sa_beta_end"):
             value = getattr(self, name)
             if value is None:
@@ -92,8 +94,6 @@ class SolverConfig:
                    and getattr(self, name) is not None]
         if ignored:
             raise ValueError(f"solver {self.kind} ignores {' '.join(ignored)}")
-        if self.samples > MAX_SEEDS:
-            raise ValueError(f"samples must be <= {MAX_SEEDS}, got {self.samples}")
         # an infinite beta, or a ratio end / start that overflows to one in the schedule,
         # turns the accept test's -beta * 0 into NaN
         if self.kind == "sa" and not (0 < self.sa_beta_start < self.sa_beta_end < math.inf

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
@@ -13,7 +12,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .formula import CnfFormula, check_bits, check_clause_type, enumerate_rows
-from .qubo import EXACT_INT64_BOUND, QuboMatrix, VariableLayout, read_triplets, write_triplets
+from .qubo import (EXACT_INT64_BOUND, QuboMatrix, VariableLayout, check_keyed_dim, read_triplets,
+                   write_triplets)
 
 EXACT_ALL_7 = "exact-all-7"
 APPROX_6_OF_7 = "approx-6-of-7"
@@ -146,11 +146,13 @@ def pattern_energies(pattern: ClausePattern) -> np.ndarray:
     return triple_energies(np.array([row], dtype=np.int64), pattern.dim)[0]
 
 
+def _triples_at_min(values: np.ndarray) -> tuple[tuple[int, int, int], ...]:
+    return tuple(compress(TRIPLES, (values == values.min()).tolist()))
+
+
 def pattern_minima(pattern: ClausePattern) -> tuple[tuple[int, int, int], ...]:
     """Triples attaining the pattern's minimum energy (aux minimized out)."""
-    values = pattern_energies(pattern)
-    low = values.min()
-    return tuple(TRIPLES[i] for i in range(8) if values[i] == low)
+    return _triples_at_min(pattern_energies(pattern))
 
 
 def verify_pattern(pattern: ClausePattern, clause_type: int, criterion: str) -> VerificationReport:
@@ -159,7 +161,7 @@ def verify_pattern(pattern: ClausePattern, clause_type: int, criterion: str) -> 
     valid = bool(meets_criterion(values[None, :], clause_type, criterion)[0])
     unsat_energy = int(values[TRIPLES.index(unsat_triple(clause_type))])
     return VerificationReport(clause_type, criterion, valid, int(values.min()),
-                              pattern_minima(pattern), unsat_energy)
+                              _triples_at_min(values), unsat_energy)
 
 
 def coverage_check(patterns: Sequence[ClausePattern],
@@ -261,10 +263,6 @@ def builtin_spec(name: str) -> TransformSpec:
     return TransformSpec(name, _BUILTIN_PATTERNS[name]())
 
 
-# the largest matrix dim whose entry keys i * dim + j, with i, j < dim, fit in int64
-_MAX_KEYED_DIM = math.isqrt(1 << 63)
-
-
 class _AssemblyPlan(NamedTuple):
     """How clause slot pairs land on matrix entries, for one formula and pattern dim."""
 
@@ -280,14 +278,12 @@ class _AssemblyPlan(NamedTuple):
 def _assembly_plan(formula: CnfFormula, pattern_dim: int) -> _AssemblyPlan:
     """The formula's cached read-only plan for patterns of a dim: slots 0..2 are clause
     l's canonical variables and slot 3 is its aux bit n + l; the matrix dim is n + m for
-    4x4 patterns and n for 3x3 ones. ValueError for a matrix dim above _MAX_KEYED_DIM."""
+    4x4 patterns and n for 3x3 ones. ValueError for a matrix dim above MAX_KEYED_DIM."""
     plan = formula.assembly_plans.get(pattern_dim)
     if plan is None:
         n, m = formula.num_vars, formula.num_clauses
         dim = n + m if pattern_dim == 4 else n
-        if dim > _MAX_KEYED_DIM:
-            raise ValueError(f"matrix dim {dim} exceeds {_MAX_KEYED_DIM}, past which int64 "
-                             "entry keys i * dim + j could wrap")
+        check_keyed_dim(dim)
         slots = np.c_[formula.clause_arrays[0], n + np.arange(m)]
         keys = (np.sort(slots[:, SLOT_ORDERS[pattern_dim]], axis=2) @ (dim, 1)).ravel()
         order = np.argsort(keys)
@@ -326,8 +322,8 @@ def assemble(formula: CnfFormula, spec: TransformSpec) -> tuple[QuboMatrix, Vari
     is the formula's assembly plan for the spec's pattern dim, built on
     first use and cached on the formula, so assembling many specs of one
     formula pays for it once. The plan's key tuples become the matrix's keys.
-    A matrix dim above isqrt(2^63) is refused with ValueError before anything
-    is allocated, since the plan's int64 keys i * dim + j could wrap.
+    A matrix dim above qubo.MAX_KEYED_DIM is refused with ValueError before
+    anything is allocated, since the plan's int64 keys i * dim + j could wrap.
     """
     n, m = formula.num_vars, formula.num_clauses
     matrix = _sum_patterns(formula, spec.patterns, formula.clause_arrays[1].sum(axis=1))
@@ -343,9 +339,7 @@ def approximate_with_hint(formula: CnfFormula, hint: Sequence[int],
     falsifies get their type's first pattern. Each per-type list must jointly
     cover all seven satisfying triples, which guarantees a choice exists.
     """
-    if len(hint) != formula.num_vars:
-        raise ValueError(f"hint length {len(hint)} != num_vars {formula.num_vars}")
-    check_bits(hint, "hint entry")
+    check_bits(hint, formula.num_vars, "hint entry")
     if len(approx_sets) != 4:
         raise ValueError("approx_sets must hold one pattern list per clause type")
     flat, table = [], []  # table: per type and triple, the index into flat of the pattern to use
@@ -370,9 +364,7 @@ def approximate_with_hint(formula: CnfFormula, hint: Sequence[int],
 
 def decode(bits: Sequence[int], layout: VariableLayout) -> tuple[int, ...]:
     """Project a solver bit vector onto the problem variables; every entry must be 0 or 1."""
-    if len(bits) != layout.dim:
-        raise ValueError(f"bit vector length {len(bits)} != layout dim {layout.dim}")
-    check_bits(bits)
+    check_bits(bits, layout.dim)
     return tuple(int(b) for b in bits[:layout.num_problem_vars])
 
 

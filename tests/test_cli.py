@@ -54,7 +54,7 @@ def test_gen_rejects_count_below_one(tmp_path, capsys, count):
     assert main(["gen", "--vars", "5", "--clauses", "8", "--count", count,
                  "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: --count must be >= 1")
+    assert captured.err == f"error: count must be >= 1, got {count}\n"
     assert "wrote" not in captured.out
     assert not out.exists()
 
@@ -171,8 +171,11 @@ _DEEP_QUBO = "".join(["p qubo 30 465\n", *(f"{i} {j} 1\n" for i in range(30)
      "error: line 466: duplicate entry (12, 19)\n"),
     (["solve", "--solver", "brute"], "aux.qubo", "c aux 2 clase 0\np qubo 3 1\n0 0 1\n",
      "error: line 1: malformed aux comment 'c aux 2 clase 0'\n"),
+    # a declared variable past int64 does not fit the formula's int64 clause arrays
+    (["transform", "--method", "fullapprox"], "wide.cnf",
+     "p cnf 18446744073709551616 1\n1 2 9223372036854775808 0\n", "error: "),
 ], ids=["literal-beyond-int64", "coefficient-beyond-int64", "deep-cnf-token", "deep-qubo-entry",
-        "malformed-aux-comment"])
+        "malformed-aux-comment", "variable-beyond-int64"])
 def test_bad_input_files_give_an_error_line(tmp_path, capsys, command, name, text, message):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -227,19 +230,22 @@ def test_prune_builds_only_the_stage_it_writes(tmp_path, monkeypatch, cnf_file, 
                  "--in", str(qubo_path), "--out", str(out)]) == 0
     assert parse_qubo(out.read_text(encoding="utf-8"))[0] == expected.matrix
 
-# each asks numpy for 10^15 int64 entries (7.11 PiB), which no host grants
-@pytest.mark.parametrize("command, name, text", [
-    (["solve", "--solver", "random"], "huge.qubo", "p qubo 1000000000000000 0\n"),
-    (["gen", "--vars", "1000000000000000", "--clauses", "1"], None, None),
+# gen asks numpy for 10^15 int64 entries (7.11 PiB), which no host grants; solve is refused
+# on the 10^15 dim before it allocates anything
+@pytest.mark.parametrize("command, name, text, message", [
+    (["solve", "--solver", "random"], "huge.qubo", "p qubo 1000000000000000 0\n",
+     "error: matrix dim 1000000000000000 exceeds 3037000499, "),
+    (["gen", "--vars", "1000000000000000", "--clauses", "1"], None, None,
+     "error: Unable to allocate"),
 ], ids=["solve-random", "gen"])
-def test_allocation_failure_gives_an_error_line(tmp_path, capsys, command, name, text):
+def test_allocation_failure_gives_an_error_line(tmp_path, capsys, command, name, text, message):
     if name is not None:
         path = tmp_path / name
         path.write_text(text, encoding="utf-8")
         command = command + ["--in", str(path)]
     out = tmp_path / "out"
     assert main(command + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+    assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
 
 
@@ -383,6 +389,7 @@ def test_experiment_rejects_bad_config(tmp_path):
     {"transforms": ["nuesslein", "nuesslein"]},
     {"solver": {"kind": "sa", "sa_beta_start": 1e-300, "sa_beta_end": 1e300}},
     {"solver": {"kind": "sa", "sa_beta_end": 10**400}},
+    {"solver": {"kind": "sa", "samples": None}},
 ])
 def test_experiment_rejects_wrongly_typed_or_ignored_values(tmp_path, capsys, change):
     config = {"kind": "comparison", "count": 1, "num_vars": 6, "num_clauses": 10, "seed": 3,
@@ -395,6 +402,31 @@ def test_experiment_rejects_wrongly_typed_or_ignored_values(tmp_path, capsys, ch
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_experiment_refuses_a_count_above_the_seed_cap(tmp_path):
+    """Run capped and timed: without the cap the experiment generates formulas until it is
+    killed."""
+    config_path, out = tmp_path / "config.json", tmp_path / "o"
+    config_path.write_text(json.dumps({**_EXPERIMENT, "count": 10**30}), encoding="utf-8")
+    proc = run_capped(["-m", "maxsat_qubo.cli", "experiment", "--config", str(config_path),
+                       "--out", str(out)])
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: count must be <= {MAX_SEEDS}, got {10**30}\n"
+    assert not out.exists()
+
+
+def test_solve_refuses_a_dim_whose_keys_could_wrap(tmp_path):
+    """Run capped: a solve that allocated in proportion to the 4*10^9 bits would fail there
+    with MemoryError, not reach the refusal."""
+    path, out = tmp_path / "huge.qubo", tmp_path / "r.jsonl"
+    path.write_text("p qubo 4000000000 0\n", encoding="utf-8")
+    proc = run_capped(["-m", "maxsat_qubo.cli", "solve", "--solver", "random",
+                       "--in", str(path), "--out", str(out)])
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: matrix dim 4000000000 exceeds 3037000499, past which int64 "
+                           "entry keys i * dim + j could wrap\n")
     assert not out.exists()
 
 
@@ -435,10 +467,11 @@ def test_gen_writes_the_formulas_an_experiment_solves(tmp_path):
         assert parse_dimacs(text) == _formula_for(config, formula_id)
 
 
+# each id names the capped field or flag
 @pytest.mark.parametrize("command, message", [
     (["solve", "--solver", "random", "--in", "{qubo}", "--samples"], "samples"),
-    (["gen", "--vars", "5", "--clauses", "8", "--count"], "--count"),
-])
+    (["gen", "--vars", "5", "--clauses", "8", "--count"], "count"),
+], ids=["command0-samples", "command1---count"])
 def test_seed_counts_above_the_cap_are_refused_at_once(tmp_path, command, message):
     qubo_path = tmp_path / "q.qubo"
     qubo_path.write_text("p qubo 2 1\n0 0 -1\n", encoding="utf-8")

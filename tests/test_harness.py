@@ -58,6 +58,14 @@ def test_config_validation():
         assert getattr(_sa_config(**{name: least}), name) == least
     with pytest.raises(TypeError, match="^num_clauses must be an integer, got 2.0$"):
         _sa_config(num_clauses=2.0)
+    # each formula derives one seed, so count has the seed cap: built at it, never run
+    assert _sa_config(count=MAX_SEEDS).count == MAX_SEEDS
+    for build in (_sa_config, lambda count: ExperimentConfig.from_dict(
+            {"kind": "comparison", "count": count, "num_vars": 5, "num_clauses": 5, "seed": 0,
+             "transforms": ["nuesslein"], "solver": {"kind": "sa"}})):
+        for count in (MAX_SEEDS + 1, 10**30):
+            with pytest.raises(ValueError, match=f"^count must be <= {MAX_SEEDS}, got {count}$"):
+                build(count=count)
     assert _sa_config(seed=-(10**30)).seed == -(10**30)  # the seed is unbounded
     with pytest.raises(ValueError, match="solver"):
         ExperimentConfig.from_dict({"kind": "comparison", "count": 1, "num_vars": 5,

@@ -9,6 +9,7 @@ import pytest
 
 from maxsat_qubo.formula import CnfFormula, count_satisfied, count_satisfied_many
 from maxsat_qubo.qubo import (
+    MAX_KEYED_DIM,
     QuboMatrix,
     VariableLayout,
     brute_force_min,
@@ -26,7 +27,7 @@ from maxsat_qubo.qubo import (
 )
 from maxsat_qubo.rng import generator
 
-from conftest import naive_energy, random_qubo
+from conftest import naive_energy, random_qubo, run_capped
 
 CHANCELLOR_TYPE0 = {
     (0, 0): -2, (1, 1): -2, (2, 2): -2, (3, 3): -2,
@@ -61,6 +62,31 @@ def test_matrix_keeps_plain_int_key_tuples_and_rebuilds_others():
         assert q.entries == {(0, 1): 2, (1, 2): 1}
         assert all(type(key) is tuple and list(map(type, key)) == [int, int]
                    for key in q.entries)
+
+
+_HUGE_DIM = """
+import sys
+from maxsat_qubo.qubo import QuboMatrix
+from maxsat_qubo.solvers import SolverConfig, solve
+dim = int(sys.argv[1])
+for q in (QuboMatrix(dim, {}), QuboMatrix(dim, {(dim - 1, dim - 1): -1})):
+    for call in (q.diag_coupling, lambda: solve(q, SolverConfig(kind="random"))):
+        try:
+            call()
+        except ValueError as exc:
+            print(exc)
+"""
+
+
+def test_compiling_refuses_a_dim_whose_keys_could_wrap():
+    """Run in a child capped at 2 GB: an allocation in proportion to the dim fails there with
+    MemoryError, which the child does not catch, instead of taking the host's memory."""
+    assert MAX_KEYED_DIM == 3037000499 and MAX_KEYED_DIM ** 2 < 1 << 63 <= (MAX_KEYED_DIM + 1) ** 2
+    for dim in (MAX_KEYED_DIM + 1, 10**30):
+        proc = run_capped(["-c", _HUGE_DIM, str(dim)])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [f"matrix dim {dim} exceeds {MAX_KEYED_DIM}, past "
+                                            "which int64 entry keys i * dim + j could wrap"] * 4
 
 
 def test_energy_examples(approx_type0_matrix, combined_example_matrix):
@@ -168,6 +194,7 @@ TWO_CLAUSES = CnfFormula(3, ((1, 2, 3), (-1, 2, 3)))
 @pytest.mark.parametrize("call, message", [
     (lambda q: energy(q, (2, 0)), "bit 0 is 2, expected 0 or 1"),
     (lambda q: energy(q, (0.7, 1.9)), "bit 0 is 0.7, expected 0 or 1"),
+    (lambda q: energy(q, (1, 0, 1)), "expected length 2, got 3"),
     (lambda q: energy_many(q, [[2, 0]]), "row 0 entry 0 is 2, expected 0 or 1"),
     (lambda q: energy_many(q, [[1, 0], [0, 0.7]]), "row 1 entry 1 is 0.7, expected 0 or 1"),
     (lambda q: energy_min_aux(q, VariableLayout(2), (2, 0)), "row 0 entry 0 is 2"),
@@ -175,15 +202,16 @@ TWO_CLAUSES = CnfFormula(3, ((1, 2, 3), (-1, 2, 3)))
     (lambda q: count_satisfied(TWO_CLAUSES, (2, 0, 0)), "bit 0 is 2, expected 0 or 1"),
     (lambda q: count_satisfied(TWO_CLAUSES, (1, 0.7, 0)), "bit 1 is 0.7, expected 0 or 1"),
     (lambda q: count_satisfied(TWO_CLAUSES, (-1, 0, 0)), "bit 0 is -1, expected 0 or 1"),
+    (lambda q: count_satisfied(TWO_CLAUSES, (1, 0)), "expected length 3, got 2"),
     (lambda q: count_satisfied_many(TWO_CLAUSES, [[2, 0, 0]]),
      "row 0 entry 0 is 2, expected 0 or 1"),
     (lambda q: count_satisfied_many(TWO_CLAUSES, [[1, 0, 0], [0, 0.7, 0]]),
      "row 1 entry 1 is 0.7, expected 0 or 1"),
     (lambda q: count_satisfied_many(TWO_CLAUSES, np.array([[0, -1, 0]])),
      "row 0 entry 1 is -1, expected 0 or 1"),
-], ids=["energy", "energy-fraction", "many", "many-fraction", "min-aux", "min-aux-many",
-        "score", "score-fraction", "score-negative", "score-many", "score-many-fraction",
-        "score-many-negative"])
+], ids=["energy", "energy-fraction", "energy-length", "many", "many-fraction", "min-aux",
+        "min-aux-many", "score", "score-fraction", "score-negative", "score-length",
+        "score-many", "score-many-fraction", "score-many-negative"])
 def test_energies_refuse_entries_other_than_0_and_1(call, message):
     q = QuboMatrix(2, {(0, 0): 1, (0, 1): 1})
     with pytest.raises(ValueError, match=re.escape(message)):
