@@ -107,10 +107,10 @@ def test_config_stores_betas_as_floats():
     ({"kind": "brute", "time_limit_ms": 5}, ValueError, "solver brute ignores time_limit_ms$"),
     ({"kind": "sa", "samples": 2.5}, TypeError, "samples must be an integer"),
     ({"kind": "sa", "seed": True}, TypeError, "seed must be an integer"),
-    ({"kind": "random", "samples": None}, TypeError, "^samples must be an integer, got None$"),
-    ({"kind": "tabu", "seed": None}, TypeError, "^seed must be an integer, got None$"),
     ({"kind": "tabu", "iteration_limit": 5.5}, TypeError, "iteration_limit must be an integer"),
     ({"kind": "sa", "sa_beta_end": "5"}, TypeError, "sa_beta_end must be a real number"),
+    ({"kind": "random", "samples": None}, TypeError, "^samples must be an integer, got None$"),
+    ({"kind": "tabu", "seed": None}, TypeError, "^seed must be an integer, got None$"),
 ])
 def test_config_rejects_ignored_options_and_wrong_types(options, error, message):
     with pytest.raises(error, match=message):
