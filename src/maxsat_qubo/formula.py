@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -14,12 +16,28 @@ from .rng import generator, mix
 
 MAX_ENUMERATION_BITS = 25
 _CHUNK = 1 << 16
+# a token of at most 18 digits fits int64 (10^18 - 1 < 2^63): the bulk reader takes no longer
+# one, since np.fromstring saturates where int() would not
+_BULK_DIGITS = 18
+# the bytes of a canonical body: digits, the minus sign, the space and the newline
+_BULK_BYTES = np.zeros(256, dtype=bool)
+_BULK_BYTES[list(b"0123456789- \n")] = True
+
+
+def _unchecked(cls, *values):
+    """An instance of a frozen dataclass from field values already known to pass its
+    __post_init__ checks, built without running them again."""
+    instance = object.__new__(cls)
+    for field, value in zip(dataclasses.fields(cls), values):
+        object.__setattr__(instance, field.name, value)
+    return instance
 
 
 @dataclass(frozen=True)
 class CnfFormula:
     """A 3SAT formula. Each clause is a triple of signed DIMACS literals, in file order:
-    3 is x3 and -3 is its negation. clause_arrays is their cached numpy view."""
+    3 is x3 and -3 is its negation. clause_arrays is their cached numpy view. Generation
+    and the bulk DIMACS reader build formulas valid by construction with _unchecked."""
     num_vars: int
     clauses: tuple[tuple[int, int, int], ...]
 
@@ -49,9 +67,12 @@ class CnfFormula:
     def clause_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (m, 3) arrays of 0-based variable indices and negation flags, in each
         clause's canonical order (see classify_clause): a row's negation count is its type."""
-        canonical = [classify_clause(clause) for clause in self.clauses]
-        variables = np.array([order for _, order in canonical], dtype=np.int64).reshape(-1, 3) - 1
-        negated = np.arange(3) >= 3 - np.array([t for t, _ in canonical], dtype=np.int64)[:, None]
+        literals = np.array(self.clauses, dtype=np.int64).reshape(-1, 3)
+        # a stable sort of each row's negation flags puts the plain literals first and the
+        # negated ones last, each group in the clause's own order
+        order = np.argsort(literals < 0, axis=1, kind="stable")
+        literals = np.take_along_axis(literals, order, axis=1)
+        variables, negated = np.abs(literals) - 1, literals < 0
         variables.setflags(write=False)
         negated.setflags(write=False)
         return variables, negated
@@ -109,12 +130,60 @@ def write_lines(kind: str, header: Sequence[int], lines: Sequence[str],
     return f"{head}{' '.join(['p', kind, *map(str, header), str(len(lines))])}\n{''.join(lines)}"
 
 
+def _bulk_body(text: str, header_lineno: int, width: int) -> np.ndarray | None:
+    """The body after the header on line header_lineno, as read_lines numbers it, as an
+    (m, width) int64 array in one numpy pass, when the body is canonical: what write_lines
+    writes, ASCII lines of `width` single-space-separated integers of at most _BULK_DIGITS
+    digits with an optional leading minus, each line ending in a newline. None for any
+    other spelling, which read_lines' callers then read line by line."""
+    end = -1
+    for _ in range(header_lineno):
+        end = text.find("\n", end + 1)
+        if end < 0:
+            return None
+    # every line break of the head a newline: then its lines number as read_lines numbers them
+    if len(text[:end + 1].splitlines()) != header_lineno:
+        return None
+    body = text[end + 1:]
+    if not body.isascii():
+        return None
+    data = body.encode("ascii")
+    raw = np.frombuffer(data, dtype=np.uint8)
+    if not raw.size:
+        return np.empty((0, width), dtype=np.int64)
+    if raw[-1] != 10 or not _BULK_BYTES[raw].all():
+        return None
+    ends = np.flatnonzero((raw == 32) | (raw == 10))  # each token ends at one separator
+    if ends.size % width or not (raw[ends].reshape(-1, width)
+                                 == [32] * (width - 1) + [10]).all():
+        return None
+    starts = np.r_[0, ends[:-1] + 1]
+    negative = raw[starts] == 45
+    digits = ends - starts - negative
+    # a minus only at the start of a token, which holds 1 to _BULK_DIGITS digits after it
+    if (np.count_nonzero(raw == 45) != np.count_nonzero(negative)
+            or not ((digits >= 1) & (digits <= _BULK_DIGITS)).all()):
+        return None
+    return np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, width)
+
+
 def parse_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF text into a formula of 3-literal clauses."""
+    """Parse DIMACS CNF text into a formula of 3-literal clauses. A canonical body (see
+    _bulk_body) of valid 'a b c 0' clauses, as many as the header declares, is read in one
+    numpy pass; every other text takes the line loop, which raises every error."""
     lines = read_lines(text, "cnf", 2)
     lineno, raw, (num_vars, num_clauses) = next(lines)
     if num_vars < 1 or num_clauses < 0:
         raise ValueError(f"line {lineno}: invalid header counts {raw.strip()!r}")
+    body = _bulk_body(text, lineno, 4)
+    if body is not None and len(body) == num_clauses:
+        variables = np.abs(body[:, :3])
+        a, b, c = variables.T
+        if (not body[:, 3].any() and (variables >= 1).all() and (a != b).all()
+                and (a != c).all() and (b != c).all()
+                and int(variables.max(initial=0)) <= num_vars):
+            return _unchecked(CnfFormula, num_vars,
+                              tuple(zip(*(column.tolist() for column in body[:, :3].T))))
     tokens: list[int] = []
     for lineno, _, fields in lines:
         try:
@@ -270,12 +339,18 @@ def generate_balanced(num_vars: int, num_clauses: int, seed: int) -> CnfFormula:
         raise ValueError(f"balanced generation needs num_vars >= 3, got {num_vars}")
     if num_clauses < 0:
         raise ValueError("num_clauses must be non-negative")
+    num_vars = operator.index(num_vars)
+    distinct = 8 * math.comb(num_vars, 3)  # 3 distinct variables, each in either polarity
+    if num_clauses > distinct:
+        raise ValueError(f"distinctness unsatisfiable for num_vars={num_vars}, "
+                         f"num_clauses={num_clauses}: only {distinct} distinct clauses exist")
     max_restarts = 50
     for restart in range(max_restarts):
         rng = generator(seed if restart == 0 else mix(seed, 0xBA1A, restart))
         clauses = _balanced_attempt(num_vars, num_clauses, rng)
         if clauses is not None:
-            return CnfFormula(num_vars, clauses)
+            # three distinct variables of 1..num_vars per clause, each a plain int
+            return _unchecked(CnfFormula, num_vars, clauses)
     raise ValueError(
         f"balance or distinctness unsatisfiable for num_vars={num_vars}, "
         f"num_clauses={num_clauses} (gave up after {max_restarts} restarts)"

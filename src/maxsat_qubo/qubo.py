@@ -10,7 +10,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .formula import check_bit_rows, check_bits, enumerate_min, read_lines, write_lines
+from .formula import (_bulk_body, _unchecked, check_bit_rows, check_bits, enumerate_min,
+                      read_lines, write_lines)
 from .rng import generator
 
 # int64 energies and flip deltas stay exact while sum |c| < 2^62
@@ -32,7 +33,9 @@ def check_keyed_dim(dim: int) -> None:
 
 @dataclass(frozen=True)
 class QuboMatrix:
-    """x^T Q x with integer coefficients stored as {(i, j): c} for i <= j."""
+    """x^T Q x with integer coefficients stored as {(i, j): c} for i <= j. Assembly,
+    pruning and the bulk QUBO reader build matrices valid by construction with
+    formula._unchecked, which skips the per-entry checks below."""
 
     dim: int
     entries: Entries
@@ -265,7 +268,9 @@ def _remove(q: QuboMatrix, keys) -> QuboMatrix:
     entries = dict(q.entries)
     for key in keys:
         del entries[key]
-    return QuboMatrix(q.dim, entries)
+    # what is left of valid entries is valid; the copy is sized for it, where the trimmed
+    # dict keeps the table of every entry it started with
+    return _unchecked(QuboMatrix, q.dim, dict(entries))
 
 
 def _prune(q: QuboMatrix, strategy: str, count: int, seed: int = 0) -> QuboMatrix:
@@ -323,10 +328,27 @@ def write_qubo(q: QuboMatrix, layout: VariableLayout | None = None,
 
 def read_triplets(text, kind: str, header_ints: int):
     """Read QUBO or pattern text: 'i j coeff' lines under a read_lines header that declares
-    their count. Returns (header integers, entries, comments as (line number, fields))."""
+    their count, whose first integer is the dim. Returns (header integers, entries,
+    comments as (line number, fields), upper), where upper says that every entry is known
+    to lie in the upper triangle of that dim with a nonzero coefficient, and the dim to be
+    positive.
+
+    A canonical body (see formula._bulk_body) of distinct keys, as many as the header
+    declares, is read in one numpy pass; every other text takes the line loop, which raises
+    every error and reports upper False."""
     comments: list[tuple[int, list[str]]] = []
     lines = read_lines(text, kind, header_ints, comments)
-    _, _, header = next(lines)
+    lineno, _, header = next(lines)
+    body = _bulk_body(text, lineno, 3)
+    if body is not None and len(body) == header[-1]:
+        i, j, value = body.T
+        upper = (header[0] > int(j.max(initial=0))
+                 and bool(((0 <= i) & (i <= j) & (value != 0)).all()))
+        i, j, value = (column.tolist() for column in body.T)
+        del body
+        entries = dict(zip(zip(i, j), value))
+        if len(entries) == len(value):  # else a key repeats, which the line loop reports
+            return header, entries, comments, upper
     entries: Entries = {}
     for lineno, raw, fields in lines:
         if len(fields) != 3:
@@ -340,7 +362,7 @@ def read_triplets(text, kind: str, header_ints: int):
         entries[(i, j)] = value
     if len(entries) != header[-1]:
         raise ValueError(f"header declares {header[-1]} entries but {len(entries)} were read")
-    return header, entries, comments
+    return header, entries, comments, False
 
 
 def write_triplets(kind: str, header: Sequence[int], entries: Entries,
@@ -353,11 +375,11 @@ def write_triplets(kind: str, header: Sequence[int], entries: Entries,
 def parse_qubo(text: str) -> tuple[QuboMatrix, VariableLayout]:
     """Parse QUBO text and its layout, where bits without an aux comment are problem bits.
     A comment whose first word is aux must read 'c aux <index> clause <owner>'."""
-    (dim, _), entries, comments = read_triplets(text, "qubo", 2)
+    (dim, _), entries, comments, upper = read_triplets(text, "qubo", 2)
     aux: dict[int, int] = {}
     for lineno, fields in comments:
-        line = " ".join(fields)
-        if line[1:].split()[:1] == ["aux"]:  # the first word after the c
+        if (fields[0][1:] or "".join(fields[1:2])) == "aux":  # the first word after the c
+            line = " ".join(fields)
             if len(fields) != 5 or fields[:2] != ["c", "aux"] or fields[3] != "clause":
                 raise ValueError(f"line {lineno}: malformed aux comment {line!r}")
             try:
@@ -368,7 +390,7 @@ def parse_qubo(text: str) -> tuple[QuboMatrix, VariableLayout]:
             if index in aux:
                 raise ValueError(f"line {lineno}: repeated aux index {index}")
             aux[index] = owner
-    matrix = QuboMatrix(dim, entries)
+    matrix = _unchecked(QuboMatrix, dim, entries) if upper else QuboMatrix(dim, entries)
     indices = sorted(aux)
     n = dim - len(indices)
     if indices != list(range(n, dim)):

@@ -11,7 +11,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .formula import CnfFormula, check_bits, check_clause_type, enumerate_rows
+from .formula import CnfFormula, _unchecked, check_bits, check_clause_type, enumerate_rows
 from .qubo import (EXACT_INT64_BOUND, QuboMatrix, VariableLayout, check_keyed_dim, read_triplets,
                    write_triplets)
 
@@ -310,7 +310,9 @@ def _sum_patterns(formula: CnfFormula, patterns: Sequence[ClausePattern],
     dim, order, starts, keys = _assembly_plan(formula, patterns[0].dim)
     sums = np.add.reduceat(np.array(rows, dtype=np.int64)[choice].ravel()[order], starts)
     kept = sums != 0
-    return QuboMatrix(dim, dict(zip(compress(keys, kept.tolist()), sums[kept].tolist())))
+    # the plan's keys lie in the upper triangle of dim, and every kept sum is a nonzero int
+    return _unchecked(QuboMatrix, dim,
+                      dict(zip(compress(keys, kept.tolist()), sums[kept].tolist())))
 
 
 def assemble(formula: CnfFormula, spec: TransformSpec) -> tuple[QuboMatrix, VariableLayout]:
@@ -376,6 +378,6 @@ def write_pattern(pattern: ClausePattern, clause_type: int, comments: Sequence[s
 
 def parse_pattern(text: str) -> tuple[ClausePattern, int]:
     """Parse pattern text into (pattern, clause_type)."""
-    (dim, clause_type, _), coefficients, _ = read_triplets(text, "pattern", 3)
+    (dim, clause_type, _), coefficients, _, _ = read_triplets(text, "pattern", 3)
     check_clause_type(clause_type)
     return ClausePattern(dim, coefficients), clause_type

@@ -484,6 +484,24 @@ def test_seed_counts_above_the_cap_are_refused_at_once(tmp_path, command, messag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "experiment"])
+def test_clause_counts_above_the_distinct_clauses_are_refused_at_once(tmp_path, command):
+    # 1000 variables offer 8 * C(1000, 3) distinct clauses; without the bound the generator
+    # redraws until it is killed, so the command runs capped and timed
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "kind": "comparison", "count": 1, "num_vars": 1000, "num_clauses": 10**12, "seed": 3,
+        "transforms": ["nuesslein"], "solver": {"kind": "tabu", "iteration_limit": 5}}))
+    out = tmp_path / "o"
+    argv = (["gen", "--vars", "1000", "--clauses", str(10**12)] if command == "gen"
+            else ["experiment", "--config", str(config)])
+    proc = run_capped(["-m", "maxsat_qubo.cli", *argv, "--out", str(out)])
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: distinctness unsatisfiable for num_vars=1000, "
+                           f"num_clauses={10**12}: only 1329336000 distinct clauses exist\n")
+    assert not out.exists()
+
+
 def test_console_module_entrypoint(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "maxsat_qubo.cli", "gen", "--vars", "5",

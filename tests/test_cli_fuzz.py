@@ -1,4 +1,5 @@
-"""CLI fuzzing: mutated input files end in exit 0, 1 or 2, never in a traceback.
+"""CLI fuzzing: mutated input files and flag values end in exit 0, 1 or 2, never in a
+traceback.
 
 The cases run in one child capped at 2 GB (conftest.run_capped), so an input that makes
 the CLI allocate in proportion to a huge number fails there with MemoryError instead of
@@ -23,6 +24,7 @@ from maxsat_qubo.transform import assemble, builtin_spec, write_pattern
 from conftest import run_capped
 
 _CASES = 250
+_FLAG_CASES = 120
 _CASE_SECONDS = 5
 
 _CNF = "p cnf 4 3\n1 2 3 0\n-1 2 -4 0\n-2 -3 -4 0\n"
@@ -48,6 +50,17 @@ _COMMANDS = {
                            ["verify", "--criterion", "approx", "--type", "2"])),
     "config": (None, (["experiment"],)),
 }
+# commands whose named flags each get a bad value, one per case: every such flag has a bound
+# or a refusal. Budgets (--iter, --sweeps) and --vars have no cap, so they are never fuzzed.
+# At 1000 variables a huge --clauses would draw until killed if it were not refused
+_FLAG_COMMANDS = (
+    (["gen", "--vars", "1000", "--clauses", "10", "--count", "2"], ("--count", "--clauses")),
+    (["solve", "--solver", "random", "--samples", "3", "--in", "{qubo}"], ("--samples",)),
+    (["solve", "--solver", "sa", "--sweeps", "3", "--beta-start", "0.5", "--beta-end", "2",
+      "--in", "{qubo}"], ("--beta-start", "--beta-end")),
+    (["prune", "--strategy", "min", "--stage", "5", "--in", "{qubo}"], ("--stage",)),
+    (["search", "--dim", "3", "--values", "-1,0,1", "--type", "1"], ("--type", "--values")),
+)
 
 _HUGE = (2**31, 10**12, 2**63, 2**64, 10**30, -(10**30))
 _NEGATIVE = (-1, -7)
@@ -104,6 +117,21 @@ def _mutate_config(draw):
     return text
 
 
+def _mutate_flag(draw):
+    """A command from _FLAG_COMMANDS with one of its named flags given a huge, negative or
+    non-integer value; for --values, one value of its list."""
+    command, flags = draw(st.sampled_from(_FLAG_COMMANDS))
+    command = list(command)
+    at = command.index(draw(st.sampled_from(flags))) + 1
+    value = str(draw(st.sampled_from(_HUGE + _NEGATIVE + _NON_INTEGER_TOKENS)))
+    if command[at - 1] == "--values":
+        values = command[at].split(",")
+        values[draw(st.integers(0, len(values) - 1))] = value
+        value = ",".join(values)
+    command[at] = value
+    return command
+
+
 class _CaseTimeout(BaseException):
     """Raised by the per-case alarm; a BaseException, so the CLI's handlers let it pass."""
 
@@ -124,6 +152,8 @@ def _run_case(root, kind, command, text):
     argv = [arg.format(**paths) for arg in command]
     if kind == "pattern":
         argv += ["--pattern", paths["in"]]
+    elif kind == "flags":
+        argv += ["--out", paths["out"]]
     else:
         flag = "--config" if kind == "config" else "--in"
         argv += ([] if flag in argv else [flag, paths["in"]]) + ["--out", paths["out"]]
@@ -131,7 +161,10 @@ def _run_case(root, kind, command, text):
     signal.setitimer(signal.ITIMER_REAL, _CASE_SECONDS)
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses a value its type or choices reject
+                code = exc.code
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
     err = stderr.getvalue()
@@ -140,20 +173,25 @@ def _run_case(root, kind, command, text):
     if code != 0:
         # verify exits 1 for a pattern that fails the criterion, and says so on stdout
         reported = kind == "pattern" and "valid=False" in stdout.getvalue()
-        assert reported or any(line.startswith(("error: ", "i/o error: "))
+        # argparse names the subcommand before its error: 'maxsat-qubo gen: error: ...'
+        prefixes = ("error: ", "i/o error: ") + ((f"maxsat-qubo {argv[0]}: error: ",)
+                                                 if code == 2 else ())
+        assert reported or any(line.startswith(prefixes)
                                for line in err.splitlines()), (argv, code, err)
         assert not os.path.exists(paths["out"]), (argv, err)
 
 
 def run_cases(root):
-    """Run _CASES derandomized cases under root; print how many ran."""
+    """Run _CASES derandomized input cases, then _FLAG_CASES flag cases, under root; print
+    how many of each ran."""
     signal.signal(signal.SIGALRM, _alarm)
     ran = []
+    derandomized = settings(derandomize=True, deadline=None, database=None,
+                            suppress_health_check=list(HealthCheck))
 
-    @settings(derandomize=True, max_examples=_CASES, deadline=None, database=None,
-              suppress_health_check=list(HealthCheck))
+    @settings(derandomized, max_examples=_CASES)
     @given(st.data())
-    def fuzz(data):
+    def fuzz_inputs(data):
         kind = data.draw(st.sampled_from(sorted(_COMMANDS)))
         text, commands = _COMMANDS[kind]
         command = data.draw(st.sampled_from(commands))
@@ -161,8 +199,15 @@ def run_cases(root):
         _run_case(os.path.join(root, "case"), kind, command, mutated)
         ran.append(kind)
 
-    fuzz()
-    print(len(ran))
+    @settings(derandomized, max_examples=_FLAG_CASES)
+    @given(st.data())
+    def fuzz_flags(data):
+        _run_case(os.path.join(root, "case"), "flags", _mutate_flag(data.draw), "")
+        ran.append("flags")
+
+    fuzz_inputs()
+    fuzz_flags()
+    print(len(ran) - ran.count("flags"), ran.count("flags"))
 
 
 def test_mutated_inputs_end_in_an_exit_code_not_a_traceback(tmp_path):
@@ -170,4 +215,6 @@ def test_mutated_inputs_end_in_an_exit_code_not_a_traceback(tmp_path):
     proc = run_capped(["-c", f"import sys; sys.path.insert(0, {tests!r}); "
                              f"import test_cli_fuzz; test_cli_fuzz.run_cases({str(tmp_path)!r})"])
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert int(proc.stdout.split()[-1]) >= 200
+    inputs, flags = map(int, proc.stdout.split()[-2:])
+    # the flag space holds 140 distinct cases, so hypothesis may stop short of _FLAG_CASES
+    assert inputs >= 200 and flags >= 100

@@ -181,6 +181,14 @@ def test_generate_balanced_rejects_too_few_vars():
         generate_balanced(2, 5, seed=0)
 
 
+def test_generate_balanced_refuses_more_clauses_than_exist():
+    # 3 variables give 8 distinct clauses: 8 are drawn, a 9th is refused before any draw
+    assert len(set(generate_balanced(3, 8, seed=0).clauses)) == 8
+    with pytest.raises(ValueError, match=r"^distinctness unsatisfiable for num_vars=3, "
+                                         r"num_clauses=9: only 8 distinct clauses exist$"):
+        generate_balanced(3, 9, seed=0)
+
+
 @pytest.mark.parametrize("num_vars,num_clauses,seed", [
     (10, 30, 0), (10, 31, 1), (29, 100, 2), (145, 500, 3),
 ])

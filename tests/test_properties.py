@@ -2,6 +2,8 @@
 formats round-trip, batch solves equal single runs, and the generator and assembly keep
 their reference results."""
 
+import contextlib
+import dataclasses
 import hashlib
 import itertools
 from unittest import mock
@@ -11,6 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from maxsat_qubo import formula as formula_module
+from maxsat_qubo import qubo as qubo_module
 from maxsat_qubo import solvers
 from maxsat_qubo.formula import (CnfFormula, classify_clause, generate_balanced, parse_dimacs,
                                  write_dimacs)
@@ -215,7 +219,8 @@ def test_generator_matches_reference_selection(data):
 
 
 # these seeds restart once, twice or three times; (3, 9) has only 8 distinct
-# clauses to offer, so every one of the 50 attempts sticks
+# clauses to offer, so every one of the reference's 50 attempts sticks, and the
+# generator refuses it before it draws
 @pytest.mark.parametrize("num_vars, num_clauses, seed, restarts", [
     (4, 8, 17, 2), (4, 16, 1, 1), (4, 16, 18, 2), (4, 16, 16, 3), (5, 10, 10, 1), (3, 9, 0, 50),
 ])
@@ -472,6 +477,200 @@ def test_pattern_round_trip(dim, data):
     pattern = data.draw(clause_patterns(dim))
     clause_type = data.draw(st.integers(0, 3))
     assert parse_pattern(write_pattern(pattern, clause_type)) == (pattern, clause_type)
+
+
+# per text kind: its parser and the number of integers on each body line
+_READERS = {"cnf": (parse_dimacs, 4), "qubo": (parse_qubo, 3), "pattern": (parse_pattern, 3)}
+_LONG_TOKENS = (str(10 ** 18), str(-(10 ** 18)), str(2 ** 63), str(2 ** 64), str(-(10 ** 26)))
+
+
+@contextlib.contextmanager
+def _line_reader_only():
+    """Every parser with the bulk body reader switched off, so each text takes the line loop."""
+    with mock.patch.object(formula_module, "_bulk_body", return_value=None), \
+            mock.patch.object(qubo_module, "_bulk_body", return_value=None):
+        yield
+
+
+def _outcome(parse, text):
+    """The repr of what parse returns, which shows each int's type, or its ValueError text."""
+    try:
+        return repr(parse(text))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _assert_readers_agree(kind, text):
+    parse, _ = _READERS[kind]
+    with _line_reader_only():
+        expected = _outcome(parse, text)
+    assert _outcome(parse, text) == expected
+
+
+def _bulk_reads(kind, text):
+    """Whether the bulk reader takes the body of a text whose header is its first p line."""
+    lineno = next(index for index, line in enumerate(text.splitlines(), start=1)
+                  if line.startswith("p "))
+    return formula_module._bulk_body(text, lineno, _READERS[kind][1]) is not None
+
+
+@st.composite
+def written_texts(draw, kind):
+    """A written formula, matrix (with or without a layout) or pattern."""
+    comments = draw(st.lists(st.sampled_from(["seed=1", "note"]), max_size=2))
+    if kind == "cnf":
+        return write_dimacs(draw(formulas()), comments=comments)
+    if kind == "pattern":
+        pattern = draw(clause_patterns(draw(st.sampled_from((3, 4)))))
+        return write_pattern(pattern, draw(st.integers(0, 3)), comments=comments)
+    q, _ = draw(matrices("random"))
+    aux = draw(st.integers(0, q.dim))
+    layout = VariableLayout(q.dim - aux, tuple(range(aux))) if aux else None
+    return write_qubo(q, layout, comments=comments)
+
+
+def _respell(draw, text):
+    """Text with one or two edits: a token respelled or replaced, a separator or line end
+    respelled, a body line dropped or repeated, a comment or blank line put after the
+    header, a header integer pushed past int64, or the final newline dropped."""
+    lines = text.split("\n")[:-1]
+    header = next(index for index, line in enumerate(lines) if line.startswith("p "))
+    final = "\n"
+    for _ in range(draw(st.integers(1, 2))):
+        edit = draw(st.sampled_from(["token"] * 4 + ["separator", "crlf", "drop", "repeat",
+                                                      "insert", "header", "final"]))
+        at = draw(st.integers(header + 1, max(header + 1, len(lines) - 1)))
+        if edit == "crlf":
+            lines[draw(st.integers(0, len(lines) - 1))] += "\r"
+        elif edit == "insert":
+            lines.insert(at, draw(st.sampled_from(["c note", "", " "])))
+        elif edit == "header":
+            fields = lines[header].split(" ")
+            index = draw(st.integers(2, len(fields) - 1))
+            fields[index] = str(10 ** 20 + int(fields[index]))
+            lines[header] = " ".join(fields)
+        elif edit == "final":
+            final = ""
+        elif at >= len(lines) or not lines[at].strip():
+            continue
+        elif edit == "drop":
+            del lines[at]
+        elif edit == "repeat":
+            lines.insert(at, lines[at])
+        elif edit == "separator":
+            lines[at] = lines[at].replace(" ", draw(st.sampled_from(["\t", "  ", " \t"])), 1)
+        else:
+            tokens = lines[at].split(" ")
+            index = draw(st.integers(0, len(tokens) - 1))
+            tokens[index] = draw(st.sampled_from(_token_edits(tokens[index], tokens)))
+            lines[at] = " ".join(tokens)
+    return "\n".join(lines) + final
+
+
+def _token_edits(token, line_tokens):
+    """What a token may become: a respelling, a misplaced minus, a long token, a value past
+    any declared size, or a value that may repeat, negate or zero another token of its
+    line."""
+    sign, digits = ("-", token[1:]) if token.startswith("-") else ("", token)
+    negated = [other[1:] if other.startswith("-") else f"-{other}" for other in line_tokens]
+    return [f"+{token}", f"{sign}00{digits}", f"{sign}{digits[:-1]}٣", f"{digits}-{digits}",
+            f"--{digits}", "-", *_LONG_TOKENS, str(10 ** 17), str(-(10 ** 17)),
+            *line_tokens, *negated, "0", "1", "3", "-2"]
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_bulk_and_line_readers_agree(kind, data):
+    """A written text takes the bulk reader; it and any respelling of it read the same, or
+    raise the same message, as through the line reader alone."""
+    text = data.draw(written_texts(kind))
+    assert _bulk_reads(kind, text)
+    _assert_readers_agree(kind, text)
+    _assert_readers_agree(kind, _respell(data.draw, text))
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("cnf", "c seed=1\np cnf 4 2\n1 -2 3 0\n-4 2 1 0\n"),
+    ("qubo", "c aux 2 clause 0\np qubo 3 3\n0 0 -1\n0 2 5\n1 2 -3\n"),
+    ("pattern", "p pattern 3 1 3\n0 0 -1\n0 1 1\n1 2 -1\n"),
+], ids=["cnf", "qubo", "pattern"])
+def test_every_single_token_edit_reads_the_same_through_both_readers(kind, text):
+    lines = text.split("\n")
+    for at, line in enumerate(lines):
+        tokens = line.split(" ")
+        for index in range(len(tokens) if tokens[0] not in ("c", "p") else 0):
+            for edit in _token_edits(tokens[index], tokens):
+                edited = tokens[:index] + [edit] + tokens[index + 1:]
+                _assert_readers_agree(kind, "\n".join(lines[:at] + [" ".join(edited)]
+                                                      + lines[at + 1:]))
+
+
+# name -> (kind, text, whether the bulk reader takes the body)
+_NAMED_SPELLINGS = {
+    "crlf": ("cnf", "p cnf 3 1\r\n1 -2 3 0\r\n", False),
+    "crlf in the head": ("qubo", "c note\r\np qubo 2 1\r\n0 1 5\n", True),
+    # read_lines numbers the lone carriage return as a line break, so its header is line 3
+    "lone cr in the head": ("qubo", "c a\rc b\np qubo 2 1\n0 1 5\n1 1 3\n", False),
+    "tab": ("qubo", "p qubo 2 1\n0\t1 5\n", False),
+    "double space": ("qubo", "p qubo 2 1\n0  1 5\n", False),
+    "plus": ("qubo", "p qubo 2 1\n0 1 +5\n", False),
+    "leading zeros": ("cnf", "p cnf 3 1\n001 -02 3 0\n", True),
+    "19 digits": ("qubo", f"p qubo 2 1\n0 1 {10 ** 18}\n", False),
+    "19 digits beyond int64": ("qubo", f"p qubo 2 1\n0 1 {2 ** 63}\n", False),
+    "18 digits": ("qubo", f"p qubo 2 1\n0 1 -{10 ** 18 - 1}\n", True),
+    "beyond int64": ("qubo", f"p qubo 2 1\n0 1 {2 ** 64}\n", False),
+    "literal beyond int64": ("cnf", f"p cnf 3 1\n1 -2 {2 ** 64} 0\n", False),
+    "header beyond int64": ("cnf", f"p cnf {10 ** 20} 1\n1 -2 3 0\n", True),
+    "dim beyond int64": ("qubo", f"p qubo {2 ** 64} 1\n0 1 5\n", True),
+    "comment after header": ("cnf", "p cnf 3 1\nc note\n1 -2 3 0\n", False),
+    "blank after header": ("qubo", "p qubo 2 1\n\n0 1 5\n", False),
+    "no final newline": ("qubo", "p qubo 2 1\n0 1 5", False),
+    "arabic digit": ("qubo", "p qubo 4 1\n0 ٣ 5\n", False),
+    "repeated key": ("qubo", "p qubo 2 2\n0 1 5\n0 1 5\n", True),
+    "zero coefficient": ("qubo", "p qubo 2 1\n0 1 0\n", True),
+    "lower triangle": ("qubo", "p qubo 2 1\n1 0 5\n", True),
+    "count": ("cnf", "p cnf 3 2\n1 -2 3 0\n", True),
+    "repeated variable": ("cnf", "p cnf 3 1\n1 -1 3 0\n", True),
+    "split clause": ("cnf", "p cnf 3 1\n1 -2\n3 0\n", False),
+    "empty token": ("qubo", "p qubo 2 1\n0  1\n", False),
+    "inner minus": ("qubo", "p qubo 2 1\n0 1-1 5\n", False),
+    "variable past num_vars": ("cnf", "p cnf 3 1\n1 -2 4 0\n", True),
+    "index past dim": ("qubo", "p qubo 2 1\n0 2 5\n", True),
+}
+
+
+@pytest.mark.parametrize("name", _NAMED_SPELLINGS)
+def test_named_spellings_read_the_same_through_both_readers(name):
+    kind, text, bulk = _NAMED_SPELLINGS[name]
+    assert _bulk_reads(kind, text) == bulk
+    _assert_readers_agree(kind, text)
+
+
+def _through_public_constructor(obj):
+    """obj rebuilt by its class's public constructor, which checks every field."""
+    return type(obj)(*(getattr(obj, field.name) for field in dataclasses.fields(obj)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(formula=formulas(), num_vars=st.integers(4, 12), num_clauses=st.integers(0, 12),
+       seed=st.integers(0, 2 ** 64 - 1), bits=st.lists(st.integers(0, 1), min_size=12,
+                                                       max_size=12))
+def test_unchecked_constructions_equal_the_public_constructors(formula, num_vars, num_clauses,
+                                                               seed, bits):
+    """Every matrix and formula built without the constructor's checks (assembly, pruning,
+    generation, the bulk readers) is what the public constructor makes of its fields,
+    each int's type included."""
+    built = [generate_balanced(num_vars, num_clauses, seed),
+             parse_dimacs(write_dimacs(formula)),
+             approximate_with_hint(formula, tuple(bits[:formula.num_vars]), APPROX_SETS)]
+    for name in BUILTIN_SPEC_NAMES:
+        matrix, layout = assemble(formula, builtin_spec(name))
+        built += [matrix, parse_qubo(write_qubo(matrix, layout))[0]]
+        built += [stage.matrix for strategy in PRUNING_STRATEGIES
+                  for stage in pruning_schedule(matrix, strategy, seed)]
+    for obj in built:
+        assert repr(obj) == repr(_through_public_constructor(obj))
 
 
 @pytest.mark.parametrize("kind", ("tabu", "sa"))
