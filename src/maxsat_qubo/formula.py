@@ -292,20 +292,25 @@ def _balanced_attempt(num_vars: int, num_clauses: int,
     seen: set[tuple[int, ...]] = set()
     clauses: list[tuple[int, ...]] = []
     max_redraws = 200
+    picked = np.iinfo(np.int64).max  # above every rank
     for _ in range(num_clauses):
         for _ in range(max_redraws):
             # rank = occurrences * num_vars + a permutation that breaks ties and makes every
-            # rank distinct: the three least ranks, in rank order, are the three least-used
-            # variables in tie-break order
+            # rank distinct, so each argmin is the unique least rank; overwriting it with the
+            # int64 max before the next pick yields the three least-used variables in
+            # tie-break order
             rank = rng.permutation(num_vars)
             rank += scaled_occurrences
-            least = rank.argpartition(2)[:3]
-            chosen = least[rank[least].argsort()].tolist()
+            chosen = []
             clause = []
-            for v in chosen:
-                if polarity[v] < 0:
+            for _ in range(3):
+                v = int(rank.argmin())
+                rank[v] = picked
+                chosen.append(v)
+                p = polarity[v]
+                if p < 0:
                     neg = False
-                elif polarity[v] > 0:
+                elif p > 0:
                     neg = True
                 else:
                     neg = bool(rng.integers(0, 2))
@@ -316,8 +321,8 @@ def _balanced_attempt(num_vars: int, num_clauses: int,
         else:
             return None
         seen.add(key)
-        scaled_occurrences[chosen] += num_vars
         for v, lit in zip(chosen, clause):
+            scaled_occurrences[v] += num_vars
             polarity[v] += 1 if lit > 0 else -1
         clauses.append(tuple(clause))
     return tuple(clauses)

@@ -190,7 +190,7 @@ def test_generate_balanced_refuses_more_clauses_than_exist():
 
 
 @pytest.mark.parametrize("num_vars,num_clauses,seed", [
-    (10, 30, 0), (10, 31, 1), (29, 100, 2), (145, 500, 3),
+    (10, 30, 0), (10, 31, 1), (29, 100, 2), (145, 500, 3), (1390, 5000, 1),
 ])
 def test_generate_balanced_properties(num_vars, num_clauses, seed):
     formula = generate_balanced(num_vars, num_clauses, seed)

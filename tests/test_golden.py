@@ -110,6 +110,14 @@ CLI_PINS = {
 }
 
 
+def test_cli_gen_at_scaling_size(tmp_path):
+    # the paper's scaling size, n=1390 and m=5000: the other pins stop at n=145
+    assert main(["gen", "--vars", "1390", "--clauses", "5000", "--seed", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert _sha((tmp_path / "formula_000.cnf").read_bytes()) == \
+        "ca5023b6a175ebdf3f0ad09523113aeba8408d619626e84910bb2afb4666b470"
+
+
 @pytest.mark.parametrize("name", CLI_PINS)
 def test_cli_output(cli_files, name):
     # a search writes a folder: its files are digested together, in name order
