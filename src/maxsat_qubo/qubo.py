@@ -117,14 +117,25 @@ class CompiledQubo(NamedTuple):
         """Energy change from flipping each bit in each row of a (k, dim) matrix.
 
         That is (1 - 2 x_i) times bit i's local field diag_i + sum_j c_ij x_j. The fields
-        are summed bit-major, on a contiguous (dim, k) transpose of the rows, with one row
-        gather per padded neighbour slot.
+        are summed bit-major, on a contiguous (dim, k) transpose of the rows, with bits
+        ranked by degree (stable, highest first): slot s adds only for the ranked prefix of
+        bits with more than s neighbours, one row gather each, so the cells summed are the
+        real slots, not dim times the padded width. The ranked fields are scattered back
+        once.
         """
         columns = np.ascontiguousarray(rows.T)
-        fields = np.repeat(self.diag[:, None], len(rows), axis=1)
-        for s in range(self.idx.shape[1]):
-            fields += columns.take(self.idx[:, s], axis=0) * self.weight[:, s, None]
-        return (1 - 2 * rows) * fields.T
+        order = np.argsort(-self.degree, kind="stable")
+        fields = np.repeat(self.diag[order, None], len(rows), axis=1)
+        # more[s] bits have a neighbour in slot s
+        more = len(order) - np.cumsum(np.bincount(self.degree, minlength=self.idx.shape[1]))
+        for s, m in enumerate(more[:self.idx.shape[1]].tolist()):
+            if not m:
+                break
+            ranked = order[:m]
+            fields[:m] += columns.take(self.idx[ranked, s], axis=0) * self.weight[ranked, s, None]
+        unranked = np.empty_like(fields)
+        unranked[order] = fields
+        return (1 - 2 * rows) * unranked.T
 
     def energies(self, rows: np.ndarray, gains: np.ndarray | None = None) -> np.ndarray:
         """Energy of each row; pass the rows' flip gains when they are already at hand."""

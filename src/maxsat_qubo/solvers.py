@@ -118,6 +118,16 @@ def _initial_states(compiled: CompiledQubo, seeds: Sequence[int]):
     return gens, X, D, compiled.energies(X, D)
 
 
+def _narrow_width(compiled: CompiledQubo) -> int:
+    """The neighbour slots tabu updates for every flip: the median row's slot count
+    max(degree, 1), or the full width when that is more than half of it. Rows of bits with
+    more neighbours update their remaining slots in a second pass."""
+    width = compiled.idx.shape[1]
+    slots = np.maximum(compiled.degree, 1)
+    narrow = int(np.partition(slots, len(slots) // 2)[len(slots) // 2])
+    return width if 2 * narrow > width else narrow
+
+
 def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConfig):
     """Lockstep best-improvement tabu search over one row per seed.
 
@@ -125,7 +135,9 @@ def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConf
     still flip if it strictly improves the row's incumbent best (aspiration), and a row
     whose every bit is tabu ignores the list. A bit is tabu for `tenure` iterations after
     its latest flip. The flip gains D = S·G, S = 1 - 2X, are carried: a flip negates its
-    bit's gain and updates its neighbours'.
+    bit's gain and updates its neighbours'. The update reads the first _narrow_width
+    slots of every row's neighbour list, and the rest only in the rows whose flipped bit
+    has more neighbours, so on mostly short rows it skips the padding of the long ones.
 
     A tabu bit's cell of D holds its gain plus _BIG = 2^62 for as long as it is tabu, so
     one (k, dim) argmin finds every row's best free bit, or its best bit when all are tabu.
@@ -136,7 +148,12 @@ def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConf
     cell's latest flip, the one record of renewals: each iteration a flip masks one cell
     per row (a renewed cell, flipped again while tabu, is unmasked first), and the flip
     `tenure` iterations back unmasks its cell only if that flip is still the cell's
-    latest, O(k) each.
+    latest, O(k) each. That test runs only if some renewal came within the last `tenure`
+    iterations; otherwise every expiring flip is still its cell's latest.
+
+    Each row carries slack = best energy - E + _BIG: aspiration compares the tabu cells
+    of D against it, a row improves on its best when it exceeds _BIG, and the best energy
+    returned is E + slack - _BIG.
 
     A log holds each iteration's flipped cells. Its last min(iteration, tenure) entries
     are the tabu window, which the aspiration test gathers, O(k·min(tenure, iterations))
@@ -156,12 +173,22 @@ def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConf
     tenure = config.tabu_tenure or max(10, dim // 10)
     _, X, D, E = _initial_states(compiled, seeds)
     S = 1 - 2 * X
-    best_energy, best_S = E.copy(), np.empty_like(S)  # best_S is filled by _rebuild_best
+    # slack = best energy - E + _BIG; best_S is filled by _rebuild_best
+    slack, best_S = np.full_like(E, _BIG), np.empty_like(S)
     # flat views: one flat index per cell is cheaper than a (row, column) pair
     flat_S, flat_D = S.reshape(-1), D.reshape(-1)
     row_start = np.arange(len(seeds)) * dim
+    # every row updates its first `narrow` neighbour slots, and a row that flipped a bit
+    # with more neighbours the rest; contiguous copies, as take() on a column slice is slow
+    narrow = _narrow_width(compiled)
+    narrow_idx = np.ascontiguousarray(compiled.idx[:, :narrow])
+    narrow_weight = np.ascontiguousarray(compiled.weight[:, :narrow])
+    rest_idx = np.ascontiguousarray(compiled.idx[:, narrow:])
+    rest_weight = np.ascontiguousarray(compiled.weight[:, narrow:])
+    offsets = np.repeat(row_start[:, None], narrow, axis=1)
+    wide = compiled.degree > narrow
     # log[j - base] holds the cells flipped at iteration j; best_at[r] counts the flips
-    # row r had made when it reached best_energy[r]
+    # row r had made when it reached its best energy
     size = max(_LOG_ROWS, 2 * min(tenure, dim))
     if iteration_limit is not None:
         size = min(size, iteration_limit)
@@ -169,6 +196,7 @@ def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConf
     base = 0
     best_at = np.zeros(len(seeds), dtype=np.int64)
     latest = np.full(D.size, -1, dtype=np.int64)  # the iteration of each cell's latest flip
+    renewed_at = -1  # the latest iteration that renewed a tabu cell
     iteration = 0
     while iteration_limit is None or iteration < iteration_limit:
         if time_limit_ms is not None and (time.perf_counter() - start) * 1000 >= time_limit_ms:
@@ -186,7 +214,7 @@ def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConf
         # every cell flipped in the last `tenure` iterations is tabu; aspiration allows
         # those that beat the incumbent
         tabu = log[end - min(iteration, tenure):end]
-        aspiring = flat_D[tabu] < best_energy - E + _BIG
+        aspiring = flat_D[tabu] < slack
         # only dim or more recent flips can leave a row's every bit, and its argmin, tabu
         may_renew = len(tabu) >= dim
         if np.count_nonzero(aspiring):
@@ -201,27 +229,40 @@ def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConf
         if may_renew:
             # a tabu bit flipped again is unmasked here and masked anew by its flip
             renewed = latest[cells] >= max(iteration - tenure, 0)
-            flat_D[cells[renewed]] -= _BIG
+            if np.count_nonzero(renewed):
+                flat_D[cells[renewed]] -= _BIG
+                renewed_at = iteration
         gain, sign = flat_D[cells], flat_S[cells]
         flat_S[cells] = -sign
         flat_D[cells] = _BIG - gain
         # neighbour j's gain moves by s_j·s_i·w_ij; padding (own bit, weight 0) adds 0
-        nbrs = row_start[:, None] + compiled.idx.take(flip, axis=0)
-        flat_D[nbrs] += flat_S[nbrs] * sign[:, None] * compiled.weight.take(flip, axis=0)
+        nbrs = narrow_idx.take(flip, axis=0)
+        nbrs += offsets
+        flat_D[nbrs] += flat_S[nbrs] * sign[:, None] * narrow_weight.take(flip, axis=0)
+        if rest_idx.shape[1]:
+            wide_rows = np.flatnonzero(wide.take(flip))
+            if len(wide_rows):
+                wide_flip = flip[wide_rows]
+                nbrs = row_start[wide_rows, None] + rest_idx.take(wide_flip, axis=0)
+                flat_D[nbrs] += (flat_S[nbrs] * sign[wide_rows, None]
+                                 * rest_weight.take(wide_flip, axis=0))
         E += gain
+        slack -= gain
         latest[cells] = iteration
         if iteration >= tenure:
-            # a cell flipped again since the flip `tenure` iterations back stays masked
             expired = log[end - tenure]
-            flat_D[expired[latest[expired] == iteration - tenure]] -= _BIG
+            if renewed_at > iteration - tenure:
+                # a cell flipped again since the flip `tenure` iterations back stays masked
+                expired = expired[latest[expired] == iteration - tenure]
+            flat_D[expired] -= _BIG
         log[end] = cells
-        improved = E < best_energy
+        improved = slack > _BIG
         iteration += 1
         if np.count_nonzero(improved):
-            best_energy[improved] = E[improved]
+            slack[improved] = _BIG
             best_at[improved] = iteration
     _rebuild_best(best_S, S, log[:iteration - base], base, best_at)
-    return best_energy, (1 - best_S) // 2
+    return E + slack - _BIG, (1 - best_S) // 2
 
 
 def _rebuild_best(best_S, S, log, base, best_at) -> None:

@@ -33,13 +33,19 @@ from maxsat_qubo.transform import (APPROX_6_OF_7, BUILTIN_SPEC_NAMES, EXACT_ALL_
 from conftest import random_qubo
 
 SHAPES = ("random", "diagonal", "star", "dim1")
+# SHAPES plus "hubs", whose tabu neighbour update splits into a narrow pass and a wide one:
+# 1-3 hub bits coupled to every other bit and the rest coupled only to hubs, as aux bits are
+SPLIT_SHAPES = SHAPES + ("hubs",)
 COEFFS = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 55), 2 ** 55)).filter(bool)
 
 
 @st.composite
 def matrices(draw, shape):
     """A matrix of the given shape and a block of 0/1 rows for it."""
-    dim = 1 if shape == "dim1" else draw(st.integers(2, 10))
+    if shape == "dim1":
+        dim = 1
+    else:
+        dim = draw(st.integers(5, 12) if shape == "hubs" else st.integers(2, 10))
     diagonal = st.dictionaries(st.integers(0, dim - 1).map(lambda i: (i, i)), COEFFS)
     entries = draw(diagonal)
     if shape == "random":
@@ -51,6 +57,13 @@ def matrices(draw, shape):
         for j in range(dim):
             if j != center:
                 entries[(min(center, j), max(center, j))] = draw(COEFFS)
+    elif shape == "hubs":
+        # fewer than half the bits are hubs, so the median row has len(hubs) slots
+        hubs = draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=min(3, (dim - 1) // 2)))
+        for i in hubs:
+            for j in range(dim):
+                if j != i:
+                    entries[(min(i, j), max(i, j))] = draw(COEFFS)
     rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=dim, max_size=dim),
                          min_size=1, max_size=6))
     return QuboMatrix(dim, entries), np.asarray(rows, dtype=np.int64)
@@ -60,7 +73,7 @@ def _width(q):
     return q.diag_coupling().idx.shape[1]
 
 
-@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("shape", SPLIT_SHAPES)
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_energy_many_equals_exact_energy(shape, data):
@@ -69,10 +82,12 @@ def test_energy_many_equals_exact_energy(shape, data):
         assert _width(q) == 1
     elif shape == "star":
         assert _width(q) == q.dim - 1
+    elif shape == "hubs":
+        assert 2 * solvers._narrow_width(q.diag_coupling()) <= _width(q)
     assert energy_many(q, rows).tolist() == [energy(q, row) for row in rows.tolist()]
 
 
-@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("shape", SPLIT_SHAPES)
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_energy_gains_equal_flip_differences(shape, data):
@@ -784,7 +799,7 @@ def _reference_tabu(q, seed, iterations, tenure, aspirations=None):
     return best_bits, best
 
 
-@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("shape", SPLIT_SHAPES)
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_tabu_matches_reference_rule(shape, data):
@@ -870,7 +885,7 @@ def test_tabu_log_folds_match_reference_rule(dim, tenure, iterations):
             [_reference_tabu(q, mix(seed, r), iterations, tenure) for r in range(3)]
 
 
-@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("shape", SPLIT_SHAPES)
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_tabu_with_a_short_log_matches_reference_rule(shape, data):

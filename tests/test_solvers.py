@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from maxsat_qubo.formula import CnfFormula, brute_force_maxsat, count_satisfied
+from maxsat_qubo.formula import CnfFormula, brute_force_maxsat, count_satisfied, generate_balanced
+from maxsat_qubo.pattern_search import enumerate_combinations, search_3x3
 from maxsat_qubo.qubo import QuboMatrix, VariableLayout, brute_force_min, energy, minimize_with_aux
 from maxsat_qubo import solvers
 from maxsat_qubo.rng import generator, mix
@@ -20,7 +21,7 @@ from maxsat_qubo.solvers import (
     solve,
     tabu_search,
 )
-from maxsat_qubo.transform import assemble, builtin_spec, decode
+from maxsat_qubo.transform import APPROX_6_OF_7, assemble, builtin_spec, decode
 
 from conftest import random_formula, random_qubo
 
@@ -168,6 +169,21 @@ def test_tabu_zero_iterations_returns_seeded_start():
     expected = tuple(int(b) for b in generator(31).integers(0, 2, size=8))
     assert result.bits == expected
     assert result.energy == energy(q, result.bits)
+
+
+def test_tabu_splits_its_neighbour_update_only_on_the_exact_transformations():
+    """Comparison's exact transformations, mostly degree-3 aux bits, update 3 slots per
+    flip and the rest only for wider bits; fullapprox and the first 16 calibration specs,
+    whose median row fills more than half the width, keep one full-width pass."""
+    formula = generate_balanced(145, 500, mix(1, 1, 0))
+    for name in ("nuesslein", "chancellor_repaired"):
+        compiled = assemble(formula, builtin_spec(name))[0].diag_coupling()
+        assert solvers._narrow_width(compiled) == 3 < compiled.idx.shape[1]
+    per_type = [search_3x3((-1, 0, 1), clause_type, APPROX_6_OF_7) for clause_type in range(4)]
+    specs = [builtin_spec("fullapprox")] + enumerate_combinations(per_type)[:16]
+    for spec in specs:
+        compiled = assemble(formula, spec)[0].diag_coupling()
+        assert solvers._narrow_width(compiled) == compiled.idx.shape[1]
 
 
 def test_tabu_solves_satisfiable_formula():
