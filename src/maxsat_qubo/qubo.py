@@ -93,49 +93,53 @@ class QuboMatrix:
         slot = np.arange(row.size) - (np.cumsum(degree) - degree)[row]
         # every row gets at least one slot; padding points at the row's own bit with weight 0:
         # a bit's field never depends on itself, so padded slots are inert in every update
-        idx = np.repeat(np.arange(self.dim)[:, None], max(1, int(degree.max())), axis=1)
+        slots = np.maximum(degree, 1)
+        width = int(slots.max())
+        idx = np.repeat(np.arange(self.dim)[:, None], width, axis=1)
         weights = np.zeros(idx.shape, dtype=np.int64)
         idx[row, slot] = col
         weights[row, slot] = weight
-        return CompiledQubo(diag, idx, weights, degree)
+        narrow = int(np.partition(slots, self.dim // 2)[self.dim // 2])
+        return CompiledQubo(diag, idx, weights, slots, width if 2 * narrow > width else narrow)
 
 
 class CompiledQubo(NamedTuple):
     """Diagonal plus padded symmetric neighbour lists of a QuboMatrix.
 
-    Row i of idx/weight holds bit i's off-diagonal neighbours and their
-    coefficients in its first degree[i] slots; the rest point at i itself
-    with weight 0. Rows have at least one slot. All arrays are int64.
+    Row i of idx/weight holds bit i's off-diagonal neighbours, ascending, and their
+    coefficients in its first slots[i] = max(degree, 1) slots; the rest point at i itself
+    with weight 0. gains and tabu's neighbour update read the first `narrow` slots of
+    every row, and the rest only of rows with slots > narrow: narrow is the median row's
+    slots, or the full width when that is more than half of it, so on mostly short rows
+    the padding of the long ones is skipped. All arrays are int64.
     """
 
     diag: np.ndarray
     idx: np.ndarray
     weight: np.ndarray
-    degree: np.ndarray
+    slots: np.ndarray
+    narrow: int
 
     def gains(self, rows: np.ndarray) -> np.ndarray:
         """Energy change from flipping each bit in each row of a (k, dim) matrix.
 
         That is (1 - 2 x_i) times bit i's local field diag_i + sum_j c_ij x_j. The fields
-        are summed bit-major, on a contiguous (dim, k) transpose of the rows, with bits
-        ranked by degree (stable, highest first): slot s adds only for the ranked prefix of
-        bits with more than s neighbours, one row gather each, so the cells summed are the
-        real slots, not dim times the padded width. The ranked fields are scattered back
-        once.
+        are summed bit-major, on a contiguous (dim, k) transpose of the rows, with one row
+        gather per slot: over the first `narrow` slots for every bit, and over the rest
+        for the wide bits only, whose fields are gathered and scattered back once.
         """
         columns = np.ascontiguousarray(rows.T)
-        order = np.argsort(-self.degree, kind="stable")
-        fields = np.repeat(self.diag[order, None], len(rows), axis=1)
-        # more[s] bits have a neighbour in slot s
-        more = len(order) - np.cumsum(np.bincount(self.degree, minlength=self.idx.shape[1]))
-        for s, m in enumerate(more[:self.idx.shape[1]].tolist()):
-            if not m:
-                break
-            ranked = order[:m]
-            fields[:m] += columns.take(self.idx[ranked, s], axis=0) * self.weight[ranked, s, None]
-        unranked = np.empty_like(fields)
-        unranked[order] = fields
-        return (1 - 2 * rows) * unranked.T
+        fields = np.repeat(self.diag[:, None], len(rows), axis=1)
+        for s in range(self.narrow):
+            fields += columns.take(self.idx[:, s], axis=0) * self.weight[:, s, None]
+        wide = np.flatnonzero(self.slots > self.narrow)
+        if len(wide):
+            wide_fields = fields[wide]
+            wide_idx, wide_weight = self.idx[wide, self.narrow:], self.weight[wide, self.narrow:]
+            for s in range(wide_idx.shape[1]):
+                wide_fields += columns.take(wide_idx[:, s], axis=0) * wide_weight[:, s, None]
+            fields[wide] = wide_fields
+        return (1 - 2 * rows) * fields.T
 
     def energies(self, rows: np.ndarray, gains: np.ndarray | None = None) -> np.ndarray:
         """Energy of each row; pass the rows' flip gains when they are already at hand."""
@@ -152,8 +156,8 @@ class CompiledQubo(NamedTuple):
         coupling joins two bits of one class.
         """
         colours: list[int] = []
-        for i, (row, degree) in enumerate(zip(self.idx.tolist(), self.degree.tolist())):
-            taken = {colours[j] for j in row[:degree] if j < i}
+        for i, (row, slots) in enumerate(zip(self.idx.tolist(), self.slots.tolist())):
+            taken = {colours[j] for j in row[:slots] if j < i}
             colour = 0
             while colour in taken:
                 colour += 1

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .formula import CnfFormula, count_satisfied_many
-from .qubo import CompiledQubo, QuboMatrix, brute_force_min
+from .formula import CnfFormula, count_satisfied_many, enumerate_min
+from .qubo import CompiledQubo, QuboMatrix
 from .rng import generator, mix
 
 # the most seeds one call derives (SolverConfig.samples, gen --count): a seeded generator
@@ -118,16 +118,6 @@ def _initial_states(compiled: CompiledQubo, seeds: Sequence[int]):
     return gens, X, D, compiled.energies(X, D)
 
 
-def _narrow_width(compiled: CompiledQubo) -> int:
-    """The neighbour slots tabu updates for every flip: the median row's slot count
-    max(degree, 1), or the full width when that is more than half of it. Rows of bits with
-    more neighbours update their remaining slots in a second pass."""
-    width = compiled.idx.shape[1]
-    slots = np.maximum(compiled.degree, 1)
-    narrow = int(np.partition(slots, len(slots) // 2)[len(slots) // 2])
-    return width if 2 * narrow > width else narrow
-
-
 def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConfig):
     """Lockstep best-improvement tabu search over one row per seed.
 
@@ -135,9 +125,9 @@ def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConf
     still flip if it strictly improves the row's incumbent best (aspiration), and a row
     whose every bit is tabu ignores the list. A bit is tabu for `tenure` iterations after
     its latest flip. The flip gains D = S·G, S = 1 - 2X, are carried: a flip negates its
-    bit's gain and updates its neighbours'. The update reads the first _narrow_width
+    bit's gain and updates its neighbours'. The update reads the first compiled.narrow
     slots of every row's neighbour list, and the rest only in the rows whose flipped bit
-    has more neighbours, so on mostly short rows it skips the padding of the long ones.
+    has more slots, so on mostly short rows it skips the padding of the long ones.
 
     A tabu bit's cell of D holds its gain plus _BIG = 2^62 for as long as it is tabu, so
     one (k, dim) argmin finds every row's best free bit, or its best bit when all are tabu.
@@ -179,14 +169,14 @@ def _batch_tabu(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConf
     flat_S, flat_D = S.reshape(-1), D.reshape(-1)
     row_start = np.arange(len(seeds)) * dim
     # every row updates its first `narrow` neighbour slots, and a row that flipped a bit
-    # with more neighbours the rest; contiguous copies, as take() on a column slice is slow
-    narrow = _narrow_width(compiled)
+    # with more slots the rest; contiguous copies, as take() on a column slice is slow
+    narrow = compiled.narrow
     narrow_idx = np.ascontiguousarray(compiled.idx[:, :narrow])
     narrow_weight = np.ascontiguousarray(compiled.weight[:, :narrow])
     rest_idx = np.ascontiguousarray(compiled.idx[:, narrow:])
     rest_weight = np.ascontiguousarray(compiled.weight[:, narrow:])
     offsets = np.repeat(row_start[:, None], narrow, axis=1)
-    wide = compiled.degree > narrow
+    wide = compiled.slots > narrow
     # log[j - base] holds the cells flipped at iteration j; best_at[r] counts the flips
     # row r had made when it reached its best energy
     size = max(_LOG_ROWS, 2 * min(tenure, dim))
@@ -319,11 +309,11 @@ def _batch_sa(compiled: CompiledQubo, seeds: Sequence[int], config: SolverConfig
     # per class, its bits' neighbour lists end to end, split at starts. reduceat reads an
     # empty segment as the next element, so a bit without neighbours keeps its first slot,
     # padding on itself with weight 0.
-    slots = np.maximum(compiled.degree, 1)
     classes = []
     for members in compiled.colour_classes():
-        kept = np.arange(compiled.idx.shape[1]) < slots[members, None]
-        starts = np.cumsum(slots[members]) - slots[members]
+        slots = compiled.slots[members]
+        kept = np.arange(compiled.idx.shape[1]) < slots[:, None]
+        starts = np.cumsum(slots) - slots
         classes.append((members, compiled.diag[members, None], compiled.idx[members][kept],
                         compiled.weight[members][kept][:, None], starts))
     for beta, uniforms in _sa_schedule(config, gens, dim):
@@ -362,7 +352,7 @@ def _run(q: QuboMatrix, config: SolverConfig, seeds: Sequence[int]) -> list[Solv
     """One run of the configured sampler per seed; config.samples and config.seed are not read."""
     compiled = q.diag_coupling()
     if config.kind == "brute":
-        best_value, witness = brute_force_min(q)
+        best_value, witness = enumerate_min(q.dim, compiled.energies)
         best_energy, best_bits = np.full(len(seeds), best_value), np.array([witness] * len(seeds))
     elif config.kind == "random":
         _, best_bits, _, best_energy = _initial_states(compiled, seeds)

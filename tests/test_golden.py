@@ -110,12 +110,48 @@ CLI_PINS = {
 }
 
 
-def test_cli_gen_at_scaling_size(tmp_path):
-    # the paper's scaling size, n=1390 and m=5000: the other pins stop at n=145
-    assert main(["gen", "--vars", "1390", "--clauses", "5000", "--seed", "1",
-                 "--out", str(tmp_path)]) == 0
-    assert _sha((tmp_path / "formula_000.cnf").read_bytes()) == \
+@pytest.fixture(scope="module")
+def scale_files(tmp_path_factory):
+    """The paper's scaling size, n=1390 and m=5000, where the other pins stop at n=145: the
+    formula, and each transformation's QUBO with its tabu and SA samples, by name."""
+    out = tmp_path_factory.mktemp("scale")
+    cnf = out / "formula_000.cnf"
+    commands = [["gen", "--vars", "1390", "--clauses", "5000", "--seed", "1", "--out", out]]
+    for method in ("fullapprox", "nuesslein", "chancellor_repaired"):
+        qubo = out / f"{method}.qubo"
+        commands += [
+            ["transform", "--method", method, "--in", cnf, "--out", qubo],
+            ["solve", "--solver", "tabu", "--samples", "10", "--iter", "200", "--in", qubo,
+             "--cnf", cnf, "--out", out / f"{method}.jsonl"],
+            ["solve", "--solver", "sa", "--samples", "10", "--sweeps", "10", "--in", qubo,
+             "--cnf", cnf, "--out", out / f"{method}.sa.jsonl"],
+        ]
+    for command in commands:
+        assert main([str(part) for part in command]) == 0
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+SCALE_PINS = {
+    "fullapprox.qubo": "a5c145ad77e21aff0e51521fb51815df26656ec8a214257f00b5567322a05011",
+    "fullapprox.jsonl": "22a50fcfd649737187b3a75457b685f60aa6f72a5e9ee3c5a5ee415cb18046d2",
+    "fullapprox.sa.jsonl": "b3e59f6eca3143bb641f393b3037f3874386b2307648038ee5239967814772c0",
+    "nuesslein.qubo": "ef3d45ed22b25c59087f1bcba334b13a36377fbc0c5420cd03c1b69b169bc325",
+    "nuesslein.jsonl": "8e6bb71358760ae844c4a4bf86ca77d2540f3b5b9d63411a4ab1277f1c489fbe",
+    "nuesslein.sa.jsonl": "730527ee36256fbdd90337d9391613e3833430fc1d178a0afe174da4e3264fa8",
+    "chancellor_repaired.qubo": "32cac14ab8d69c770c13c8610f59cbf29a9a2fa5c0418ef2d44b6510cc0aad79",
+    "chancellor_repaired.jsonl": "618f455f7075f65973c171ab350c2222bdda554f782008b491870fe95c19920c",
+    "chancellor_repaired.sa.jsonl": "29d7ff1576a0c5ea806c485fd29380b3556d1b0f1f3aa8b00545c9ba66b1bdeb",
+}
+
+
+def test_cli_gen_at_scaling_size(scale_files):
+    assert _sha(scale_files["formula_000.cnf"]) == \
         "ca5023b6a175ebdf3f0ad09523113aeba8408d619626e84910bb2afb4666b470"
+
+
+@pytest.mark.parametrize("name", SCALE_PINS)
+def test_cli_output_at_scaling_size(scale_files, name):
+    assert _sha(scale_files[name]) == SCALE_PINS[name]
 
 
 @pytest.mark.parametrize("name", CLI_PINS)

@@ -83,7 +83,7 @@ def test_energy_many_equals_exact_energy(shape, data):
     elif shape == "star":
         assert _width(q) == q.dim - 1
     elif shape == "hubs":
-        assert 2 * solvers._narrow_width(q.diag_coupling()) <= _width(q)
+        assert 2 * q.diag_coupling().narrow <= _width(q)
     assert energy_many(q, rows).tolist() == [energy(q, row) for row in rows.tolist()]
 
 
@@ -99,6 +99,34 @@ def test_energy_gains_equal_flip_differences(shape, data):
             flipped = list(bits)
             flipped[i] ^= 1
             assert gains[i] == energy(q, flipped) - before
+
+
+@pytest.mark.parametrize("shape", SPLIT_SHAPES)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_compiled_layout_matches_entries(shape, data):
+    """Row i holds its neighbours ascending with their coefficients, then (i, 0) padding;
+    slots is max(degree, 1) and narrow the median row's slots, or the width past half."""
+    q, _ = data.draw(matrices(shape))
+    neighbours = [{} for _ in range(q.dim)]
+    for (i, j), value in q.entries.items():
+        if i != j:
+            neighbours[i][j] = neighbours[j][i] = value
+    slots = [max(len(row), 1) for row in neighbours]
+    width, median = max(slots), sorted(slots)[q.dim // 2]
+    compiled = q.diag_coupling()
+    assert compiled.diag.tolist() == [q.entries.get((i, i), 0) for i in range(q.dim)]
+    for i, row in enumerate(neighbours):
+        expected = sorted(row.items()) + [(i, 0)] * (width - len(row))
+        assert list(zip(compiled.idx[i].tolist(), compiled.weight[i].tolist())) == expected
+    assert compiled.slots.tolist() == slots
+    assert compiled.narrow == (width if 2 * median > width else median)
+
+
+def test_narrow_reads_the_upper_middle_row():
+    # a path's sorted slots are 1, 1, 2, 2: the upper middle, 2, fills the width of 2
+    path = QuboMatrix(4, {(0, 1): 1, (1, 2): 1, (2, 3): 1})
+    assert path.diag_coupling().narrow == 2
 
 
 def test_compiled_form_refuses_inexact_sums():

@@ -178,12 +178,12 @@ def test_tabu_splits_its_neighbour_update_only_on_the_exact_transformations():
     formula = generate_balanced(145, 500, mix(1, 1, 0))
     for name in ("nuesslein", "chancellor_repaired"):
         compiled = assemble(formula, builtin_spec(name))[0].diag_coupling()
-        assert solvers._narrow_width(compiled) == 3 < compiled.idx.shape[1]
+        assert compiled.narrow == 3 < compiled.idx.shape[1]
     per_type = [search_3x3((-1, 0, 1), clause_type, APPROX_6_OF_7) for clause_type in range(4)]
     specs = [builtin_spec("fullapprox")] + enumerate_combinations(per_type)[:16]
     for spec in specs:
         compiled = assemble(formula, spec)[0].diag_coupling()
-        assert solvers._narrow_width(compiled) == compiled.idx.shape[1]
+        assert compiled.narrow == compiled.idx.shape[1]
 
 
 def test_tabu_solves_satisfiable_formula():
@@ -247,7 +247,7 @@ def test_solve_brute_matches_brute_force_min(approx_type0_matrix):
 
 def test_solve_brute_checks_its_energy_like_every_solver(monkeypatch):
     q = QuboMatrix(2, {(0, 0): -1, (1, 1): -1})
-    monkeypatch.setattr(solvers, "brute_force_min", lambda matrix: (-3, (1, 1)))
+    monkeypatch.setattr(solvers, "enumerate_min", lambda num_bits, values_of: (-3, (1, 1)))
     with pytest.raises(RuntimeError, match=r"^tracked best energies \[-3, -3\] differ from "
                                            r"recomputed \[-2, -2\]$"):
         solve(q, SolverConfig(kind="brute", samples=2))
