@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import generator, mix
+from .rng import generator, mix, require_int
 
 MAX_ENUMERATION_BITS = 25
 _CHUNK = 1 << 16
@@ -42,9 +42,7 @@ class CnfFormula:
     clauses: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        num_vars = operator.index(self.num_vars)
-        if num_vars < 1:
-            raise ValueError("num_vars must be positive")
+        num_vars = require_int(self.num_vars, "num_vars", 1)
         clauses = tuple(tuple(map(operator.index, clause)) for clause in self.clauses)
         for clause in clauses:
             if len(clause) != 3:
@@ -223,10 +221,10 @@ def classify_clause(clause: tuple[int, int, int]) -> tuple[int, tuple[int, int, 
     return len(negated), tuple(plain + negated)
 
 
-def check_clause_type(clause_type: int) -> None:
-    """ValueError unless clause_type is a negation count that classify_clause yields."""
-    if clause_type not in (0, 1, 2, 3):
-        raise ValueError(f"clause type must be 0..3, got {clause_type}")
+def check_clause_type(clause_type: int) -> int:
+    """clause_type as a plain int: TypeError unless it is an integer, then ValueError unless
+    it is a negation count that classify_clause yields, 0..3."""
+    return require_int(clause_type, "clause_type", 0, 3)
 
 
 def clause_penalty(clause_type: int, bits: Sequence[int]) -> int:
@@ -340,11 +338,8 @@ def generate_balanced(num_vars: int, num_clauses: int, seed: int) -> CnfFormula:
     that forced clause is a duplicate, the whole construction restarts with a
     re-derived seed, keeping the result a pure function of (n, m, seed).
     """
-    if num_vars < 3:
-        raise ValueError(f"balanced generation needs num_vars >= 3, got {num_vars}")
-    if num_clauses < 0:
-        raise ValueError("num_clauses must be non-negative")
-    num_vars = operator.index(num_vars)
+    num_vars = require_int(num_vars, "num_vars", 3)
+    num_clauses = require_int(num_clauses, "num_clauses", 0)
     distinct = 8 * math.comb(num_vars, 3)  # 3 distinct variables, each in either polarity
     if num_clauses > distinct:
         raise ValueError(f"distinctness unsatisfiable for num_vars={num_vars}, "

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import replace
 from itertools import product
 from typing import Sequence
@@ -11,7 +10,7 @@ import numpy as np
 
 from .formula import CnfFormula, enumerate_rows
 from .qubo import EXACT_INT64_BOUND
-from .rng import mix
+from .rng import mix, require_int
 from .solvers import satisfied_counts, solve
 # coverage_check is read from here too, next to the searches whose results it checks
 from .transform import (EXACT_ALL_7, SLOT_ORDERS, ClausePattern, TransformSpec, assemble,
@@ -26,12 +25,8 @@ CANONICAL_PATTERNS_PER_TYPE = 4
 
 
 def _as_values(values) -> tuple[int, ...]:
-    """The search values as ints; they must be non-empty, distinct integers (not bools)."""
-    values = tuple(values)
-    for v in values:
-        if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-            raise ValueError(f"search values must be integers, got {v!r}")
-    values = tuple(int(v) for v in values)
+    """The search values as plain ints; they must be non-empty, distinct integers."""
+    values = tuple(require_int(v, "search value") for v in values)
     if not values:
         raise ValueError("value set must be non-empty")
     if len(set(values)) != len(values):

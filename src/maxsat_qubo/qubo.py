@@ -12,7 +12,7 @@ import numpy as np
 
 from .formula import (_bulk_body, _unchecked, check_bit_rows, check_bits, enumerate_min,
                       read_lines, write_lines)
-from .rng import generator
+from .rng import generator, require_int
 
 # int64 energies and flip deltas stay exact while sum |c| < 2^62
 EXACT_INT64_BOUND = 1 << 62
@@ -41,9 +41,7 @@ class QuboMatrix:
     entries: Entries
 
     def __post_init__(self):
-        dim, index = operator.index(self.dim), operator.index  # a float raises TypeError
-        if dim < 1:
-            raise ValueError("dim must be positive")
+        dim, index = require_int(self.dim, "dim", 1), operator.index  # a float key raises TypeError
         checked: Entries = {}
         for key, value in self.entries.items():
             i, j = key
@@ -174,10 +172,8 @@ class VariableLayout:
     aux_owners: tuple[int, ...] = ()
 
     def __post_init__(self):
-        num_problem_vars = operator.index(self.num_problem_vars)
-        if num_problem_vars < 0:
-            raise ValueError("num_problem_vars must be non-negative")
-        object.__setattr__(self, "num_problem_vars", num_problem_vars)
+        object.__setattr__(self, "num_problem_vars",
+                           require_int(self.num_problem_vars, "num_problem_vars", 0))
         object.__setattr__(self, "aux_owners", tuple(map(operator.index, self.aux_owners)))
 
     @property
@@ -270,7 +266,8 @@ def nnz_offdiag(q: QuboMatrix) -> int:
 
 def _removal_order(q: QuboMatrix, strategy: str, seed: int = 0) -> list[tuple[int, int]]:
     """Off-diagonal keys in removal order: "min" takes the smallest signed coefficient
-    first, then the lowest index; "random" a seeded uniform order."""
+    first, then the lowest index; "random" a seeded uniform order. Both check the seed."""
+    require_int(seed, "seed")
     keys = sorted(key for key in q.entries if key[0] < key[1])
     if strategy == "min":
         return sorted(keys, key=q.entries.__getitem__)  # stable: index order breaks ties
@@ -290,9 +287,7 @@ def _remove(q: QuboMatrix, keys) -> QuboMatrix:
 
 def _prune(q: QuboMatrix, strategy: str, count: int, seed: int = 0) -> QuboMatrix:
     order = _removal_order(q, strategy, seed)
-    if not 0 <= count <= len(order):
-        raise ValueError(f"count {count} outside [0, {len(order)}]")
-    return _remove(q, order[:count])
+    return _remove(q, order[:require_int(count, "count", 0, len(order))])
 
 
 def prune_min(q: QuboMatrix, count: int) -> QuboMatrix:
@@ -321,8 +316,7 @@ def pruning_schedule(q: QuboMatrix, strategy: str, seed: int = 0) -> list[PruneS
 
 def pruning_stage(q: QuboMatrix, strategy: str, stage: int, seed: int = 0) -> PruneStage:
     """pruning_schedule(q, strategy, seed)[stage], built alone; stage must lie in 0..10."""
-    if stage not in range(11):
-        raise ValueError(f"stage must be in 0..10, got {stage!r}")
+    stage = require_int(stage, "stage", 0, 10)
     return _stage(q, _removal_order(q, strategy, seed), stage)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .formula import CnfFormula, count_satisfied_many, enumerate_min
 from .qubo import CompiledQubo, QuboMatrix
-from .rng import generator, mix
+from .rng import generator, mix, require_int
 
 # the most seeds one call derives (SolverConfig.samples, gen --count): a seeded generator
 # holds ~1 KB, so an accepted call's generators stay under ~100 MB
@@ -47,16 +47,10 @@ _SA_BLOCK = 1 << 16
 
 
 def require_integers(obj, bounds: dict[str, tuple[int | None, int | None]]) -> None:
-    """TypeError unless each named attribute is an integer (a bool is not), then ValueError
-    unless it lies in its (least, greatest) bounds (None: unbounded), in the table's order."""
+    """rng.require_int on each named attribute with its (least, greatest) bounds, in the
+    table's order, storing the plain int back."""
     for name, (least, greatest) in bounds.items():
-        value = getattr(obj, name)
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-        if least is not None and value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
-        if greatest is not None and value > greatest:
-            raise ValueError(f"{name} must be <= {greatest}, got {value}")
+        object.__setattr__(obj, name, require_int(getattr(obj, name), name, least, greatest))
 
 
 @dataclass(frozen=True)
@@ -365,7 +359,7 @@ def _run(q: QuboMatrix, config: SolverConfig, seeds: Sequence[int]) -> list[Solv
 def tabu_search(q: QuboMatrix, iteration_limit: int, tenure: int, seed: int) -> SolveResult:
     """Single tabu run from a seeded random start; returns the best vector seen."""
     config = SolverConfig(kind="tabu", iteration_limit=iteration_limit, tabu_tenure=tenure)
-    return _run(q, config, [seed])[0]
+    return _run(q, config, [require_int(seed, "seed")])[0]
 
 
 def simulated_annealing(q: QuboMatrix, sweeps: int, beta_start: float, beta_end: float,
@@ -373,7 +367,7 @@ def simulated_annealing(q: QuboMatrix, sweeps: int, beta_start: float, beta_end:
     """Single annealing run; returns the best vector seen."""
     config = SolverConfig(kind="sa", sa_sweeps=sweeps, sa_beta_start=beta_start,
                           sa_beta_end=beta_end)
-    return _run(q, config, [seed])[0]
+    return _run(q, config, [require_int(seed, "seed")])[0]
 
 
 def solve(q: QuboMatrix, config: SolverConfig) -> list[SolveResult]:
@@ -389,8 +383,7 @@ def satisfied_counts(formula: CnfFormula, results: Sequence[SolveResult]) -> np.
 
 def random_baseline(formula: CnfFormula, k: int, seed: int) -> list[tuple[tuple[int, ...], int]]:
     """k seeded uniform assignments with their satisfied-clause counts."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = require_int(k, "k", 1)
     X = generator(seed).integers(0, 2, size=(k, formula.num_vars), dtype=np.int64)
     counts = count_satisfied_many(formula, X)
     return list(zip(map(tuple, X.tolist()), counts.tolist()))

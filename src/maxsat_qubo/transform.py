@@ -14,6 +14,7 @@ import numpy as np
 from .formula import CnfFormula, _unchecked, check_bits, check_clause_type, enumerate_rows
 from .qubo import (EXACT_INT64_BOUND, QuboMatrix, VariableLayout, check_keyed_dim, read_triplets,
                    write_triplets)
+from .rng import require_int
 
 EXACT_ALL_7 = "exact-all-7"
 APPROX_6_OF_7 = "approx-6-of-7"
@@ -58,9 +59,7 @@ class ClausePattern:
     coefficients: dict[tuple[int, int], int]
 
     def __post_init__(self):
-        dim = operator.index(self.dim)  # a float dim, slot or value raises TypeError
-        if dim not in (3, 4):
-            raise ValueError(f"pattern dim must be 3 or 4, got {dim}")
+        dim = require_int(self.dim, "pattern dim", 3, 4)  # a float slot or value raises TypeError
         checked = {}
         for (i, j), value in self.coefficients.items():
             i, j, value = operator.index(i), operator.index(j), operator.index(value)
@@ -157,6 +156,7 @@ def pattern_minima(pattern: ClausePattern) -> tuple[tuple[int, int, int], ...]:
 
 def verify_pattern(pattern: ClausePattern, clause_type: int, criterion: str) -> VerificationReport:
     """Exhaustively check a pattern against a clause type (see meets_criterion)."""
+    clause_type = check_clause_type(clause_type)
     values = pattern_energies(pattern)
     valid = bool(meets_criterion(values[None, :], clause_type, criterion)[0])
     unsat_energy = int(values[TRIPLES.index(unsat_triple(clause_type))])
@@ -187,9 +187,8 @@ def negation_substitute(base: ClausePattern, mask: Sequence[bool]) -> ClausePatt
     """
     if base.dim != 4:
         raise ValueError("negation substitution is defined for 4x4 patterns")
+    check_bits(mask, 3, "mask entry")
     mask = tuple(bool(b) for b in mask)
-    if len(mask) != 3:
-        raise ValueError("mask must cover the three variable slots")
     if not verify_pattern(base, 0, EXACT_ALL_7).valid:
         raise ValueError("base pattern does not pass exact-all-7 for clause type 0")
 
@@ -372,8 +371,8 @@ def decode(bits: Sequence[int], layout: VariableLayout) -> tuple[int, ...]:
 
 def write_pattern(pattern: ClausePattern, clause_type: int, comments: Sequence[str] = ()) -> str:
     """Serialize a pattern to the pattern text format."""
-    check_clause_type(clause_type)
-    return write_triplets("pattern", (pattern.dim, clause_type), pattern.coefficients, comments)
+    return write_triplets("pattern", (pattern.dim, check_clause_type(clause_type)),
+                          pattern.coefficients, comments)
 
 
 def parse_pattern(text: str) -> tuple[ClausePattern, int]:

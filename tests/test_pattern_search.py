@@ -37,7 +37,7 @@ def test_value_set_validation():
         search_3x3((1, 1), 0, APPROX_6_OF_7)
     for values, bad in (((-1, 0.5, 1), "0.5"), ((-1, 0.5, 0), "0.5"), ((-1, 1.0), "1.0"),
                         ((0, True), "True")):
-        with pytest.raises(ValueError, match=f"must be integers, got {bad}"):
+        with pytest.raises(TypeError, match=f"^search value must be an integer, got {bad}$"):
             search_3x3(values, 0, APPROX_6_OF_7)
     assert search_3x3(np.array([-1, 0, 1]), 0, APPROX_6_OF_7) == \
         search_3x3((-1, 0, 1), 0, APPROX_6_OF_7)

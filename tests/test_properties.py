@@ -369,8 +369,8 @@ def test_pruning_stage_is_its_schedule_entry(strategy, data):
     schedule = pruning_schedule(q, strategy, seed)
     for k, expected in enumerate(schedule):
         assert pruning_stage(q, strategy, k, seed) == expected
-    for stage in (11, -1):
-        with pytest.raises(ValueError, match=f"^stage must be in 0..10, got {stage}$"):
+    for stage, bound in ((11, "<= 10"), (-1, ">= 0")):
+        with pytest.raises(ValueError, match=f"^stage must be {bound}, got {stage}$"):
             pruning_stage(q, strategy, stage, seed)
 
 

@@ -124,6 +124,18 @@ def test_negation_substitute_identity_and_full_mask():
     assert verify_pattern(full, 3, EXACT_ALL_7).valid
 
 
+def test_negation_substitute_takes_a_mask_of_three_bits():
+    base = builtin_spec("chancellor_printed").patterns[0]
+    assert negation_substitute(base, np.array([0, 0, 1])) == \
+        negation_substitute(base, (False, False, True))
+    for mask, message in (("abc", "^mask entry 0 is 'a', expected 0 or 1$"),
+                          ((1, 0, 2), "^mask entry 2 is 2, expected 0 or 1$"),
+                          ((True, False), "^expected length 3, got 2$"),
+                          ((0, 0, 0, 1), "^expected length 3, got 4$")):
+        with pytest.raises(ValueError, match=message):
+            negation_substitute(base, mask)
+
+
 def test_negation_substitute_rejects_invalid_base():
     bad = builtin_spec("chancellor_printed").patterns[1]
     with pytest.raises(ValueError, match="exact-all-7"):
@@ -444,7 +456,7 @@ def test_pattern_text_errors(text, match):
     lambda: parse_pattern("p pattern 3 4 1\n0 0 -1\n"),
 ], ids=["clause_penalty", "unsat_triple", "write_pattern", "parse_pattern"])
 def test_clause_type_4_gives_one_message(call):
-    with pytest.raises(ValueError, match=r"^clause type must be 0\.\.3, got 4$"):
+    with pytest.raises(ValueError, match=r"^clause_type must be <= 3, got 4$"):
         call()
 
 
